@@ -5,7 +5,6 @@ from .graph import (
     FrameDomain,
     NonNeighborhoodIndex,
     TemporalGraph,
-    build_nonneighborhood_index,
     delta_slice_degeneracy,
     frames_covered,
     normalize_timestamps,
@@ -32,7 +31,6 @@ __all__ = [
     "RunStats",
     "SearchConfig",
     "TemporalGraph",
-    "build_nonneighborhood_index",
     "collect_maximal_plexes",
     "delta_slice_degeneracy",
     "enumerate_maximal_plexes",

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack
 from pathlib import Path
+from typing import TextIO
 
 from . import oracle as oracle_mod
 from .graph import (
@@ -37,7 +39,10 @@ def _load_graph(args: argparse.Namespace) -> TemporalGraph:
         text = Path(args.input).read_text()
     except OSError as exc:
         raise _CliError(f"cannot read {args.input}: {exc}", EXIT_PARSE) from exc
-    columns = tuple(int(c) for c in args.columns.split(","))
+    try:
+        columns = tuple(int(c) for c in args.columns.split(","))
+    except ValueError:
+        columns = ()
     if len(columns) != 3:
         raise _CliError("--columns needs three comma-separated indices", EXIT_PARAMETER)
     try:
@@ -71,6 +76,15 @@ def _record_line(record: PlexRecord, labels: tuple[str, ...]) -> str:
     return " ".join((*names, str(record.interval.start), str(record.interval.end)))
 
 
+def _open_for_writing(path: str | None, files: ExitStack) -> TextIO | None:
+    if not path:
+        return None
+    try:
+        return files.enter_context(open(path, "w"))
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc}", EXIT_PARAMETER) from exc
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     delta = _resolve_delta(args, graph)
@@ -86,45 +100,45 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise _CliError(str(exc), EXIT_PARAMETER) from exc
 
-    out_handle = open(args.output, "w") if args.output else sys.stdout
-    try:
+    with ExitStack() as files:
+        # both files are opened before the search, so a bad path fails at once
+        out_handle = _open_for_writing(args.output, files) or sys.stdout
+        stats_handle = _open_for_writing(args.stats, files)
+
         def sink(record: PlexRecord) -> None:
             out_handle.write(_record_line(record, graph.labels) + "\n")
 
         stats = enumerate_maximal_plexes(graph, config, sink)
-    finally:
-        if args.output:
-            out_handle.close()
 
-    report = {
-        "dataset": Path(args.input).name,
-        "n": graph.vertex_count,
-        "m": graph.edge_count,
-        "omega": graph.lifetime,
-        "delta": delta,
-        "k": args.k,
-        "pivoting": args.pivoting,
-        "connected": args.connected,
-        "plex_count": stats.plex_count,
-        "max_plex_order": stats.max_plex_order,
-        "max_lifetime_length": stats.max_lifetime_length,
-        "recursive_calls": stats.recursive_calls,
-        "wall_seconds": round(stats.wall_time_seconds, 3),
-        "timed_out": stats.timed_out,
-    }
-    if args.with_degeneracy:
-        d = delta_slice_degeneracy(graph, FrameDomain.for_graph(graph, delta))
-        report["slice_degeneracy"] = d
-        report["call_upper_bound"] = plex_count_upper_bound(
-            graph.vertex_count, args.k, d, graph.edge_count, graph.lifetime
-        )
-    width = max(len(key) for key in report)
-    for key, value in report.items():
-        print(f"{key:<{width}}  {value}")
-    if args.stats:
-        Path(args.stats).write_text(
-            "".join(f"{key}={value}\n" for key, value in report.items())
-        )
+        report = {
+            "dataset": Path(args.input).name,
+            "n": graph.vertex_count,
+            "m": graph.edge_count,
+            "omega": graph.lifetime,
+            "delta": delta,
+            "k": args.k,
+            "pivoting": args.pivoting,
+            "connected": args.connected,
+            "plex_count": stats.plex_count,
+            "max_plex_order": stats.max_plex_order,
+            "max_lifetime_length": stats.max_lifetime_length,
+            "recursive_calls": stats.recursive_calls,
+            "wall_seconds": round(stats.wall_time_seconds, 3),
+            "timed_out": stats.timed_out,
+        }
+        if args.with_degeneracy:
+            d = delta_slice_degeneracy(graph, FrameDomain.for_graph(graph, delta))
+            report["slice_degeneracy"] = d
+            report["call_upper_bound"] = plex_count_upper_bound(
+                graph.vertex_count, args.k, d, graph.edge_count, graph.lifetime
+            )
+        width = max(len(key) for key in report)
+        for key, value in report.items():
+            print(f"{key:<{width}}  {value}")
+        if stats_handle is not None:
+            stats_handle.write(
+                "".join(f"{key}={value}\n" for key, value in report.items())
+            )
     return EXIT_TIMEOUT if stats.timed_out else EXIT_OK
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .intervals import Interval, IntervalSet
 
@@ -35,9 +35,6 @@ class TemporalGraph:
     labels: tuple[str, ...]
     edges: tuple[tuple[int, int, int], ...]
     lifetime: int
-    _pair_times: dict[tuple[int, int], tuple[int, ...]] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def vertex_count(self) -> int:
@@ -46,16 +43,6 @@ class TemporalGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def pair_timestamps(self, u: int, v: int) -> tuple[int, ...]:
-        """Sorted timestamps of edges between u and v (empty if none)."""
-        if self._pair_times is None:
-            times: dict[tuple[int, int], list[int]] = {}
-            for t, a, b in self.edges:
-                times.setdefault((a, b), []).append(t)
-            self._pair_times = {p: tuple(ts) for p, ts in times.items()}
-        key = (u, v) if u < v else (v, u)
-        return self._pair_times.get(key, ())
 
     def union_adjacency(self) -> dict[int, set[int]]:
         """Static adjacency of the underlying (time-collapsed) graph."""
@@ -186,7 +173,9 @@ class NonNeighborhoodIndex:
     """Per-pair frame sets where two vertices share no edge in the window.
 
     Pairs that never share an edge are kept implicit (full frame domain), as
-    is the self-entry of every vertex.
+    is the self-entry of every vertex.  This is the library's one grouping of
+    edges by vertex pair: the search and the connectedness filter both read
+    it, while the oracle and the invariant monitor keep their own on purpose.
     """
 
     def __init__(self, graph: TemporalGraph, fd: FrameDomain):
@@ -218,12 +207,6 @@ class NonNeighborhoodIndex:
 
     def neighbor_frames(self, u: int, v: int) -> IntervalSet:
         return self.full.minus(self.nonneighbor_frames(u, v))
-
-
-def build_nonneighborhood_index(
-    graph: TemporalGraph, fd: FrameDomain
-) -> NonNeighborhoodIndex:
-    return NonNeighborhoodIndex(graph, fd)
 
 
 def _bucket_degeneracy(adjacency: dict[int, set[int]]) -> int:

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import FrameDomain, NonNeighborhoodIndex, TemporalGraph, frames_covered
+from .graph import NonNeighborhoodIndex
 from .intervals import IntervalSet
 from .pairset import PairSet
 
@@ -57,8 +57,7 @@ def connected_candidates(
     candidates: PairSet,
     members: Iterable[int],
     lifetimes: IntervalSet,
-    graph: TemporalGraph,
-    fd: FrameDomain,
+    index: NonNeighborhoodIndex,
 ) -> PairSet:
     """Candidates with an edge to some plex member inside a shared frame.
 
@@ -73,11 +72,6 @@ def connected_candidates(
         window = iw.intersect(lifetimes)
         if window.is_empty():
             continue
-        for c in members:
-            if any(
-                window.intersect(IntervalSet([frames_covered(t, fd)]))
-                for t in graph.pair_timestamps(w, c)
-            ):
-                out[w] = iw
-                break
+        if any(window.intersect(index.neighbor_frames(w, c)) for c in members):
+            out[w] = iw
     return out

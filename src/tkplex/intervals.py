@@ -94,9 +94,6 @@ class IntervalSet:
         for iv in self.intervals:
             yield from iv.members()
 
-    def total_length(self) -> int:
-        return sum(iv.length() for iv in self.intervals)
-
     def covers(self, interval: Interval) -> bool:
         """True iff some member interval contains ``interval`` entirely."""
         idx = bisect_right(self.intervals, (interval.start, interval.end))
@@ -173,22 +170,3 @@ class IntervalSet:
 
 EMPTY_SET = IntervalSet()
 
-
-def covers_interval(interval: Interval, intervals: IntervalSet) -> bool:
-    return intervals.covers(interval)
-
-
-def covers_set(inner: IntervalSet, outer: IntervalSet) -> bool:
-    return outer.covers_set(inner)
-
-
-def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return a.union(b)
-
-
-def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return a.intersect(b)
-
-
-def minus(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return a.minus(b)

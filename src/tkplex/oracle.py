@@ -79,6 +79,10 @@ def enumerate_all_maximal(
 
     Refuses instances above the size guard instead of running for hours.
     """
+    if delta < 0:
+        raise ValueError("delta must be non-negative")
+    if k < 1:
+        raise ValueError("k must be at least 1")
     n = graph.vertex_count
     if n > max_vertices or graph.lifetime > max_lifetime:
         raise ValueError(

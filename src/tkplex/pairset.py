@@ -1,32 +1,15 @@
-"""Vertex-to-interval-set mappings and their lattice-style operations.
+"""Vertex-to-interval-set mappings.
 
 A pair set is a plain ``dict[int, IntervalSet]``; entries with an empty
-interval set are never stored.  All functions return new dicts and never
-mutate their arguments.
+interval set are never stored.  ``merge_pair`` returns a new dict and never
+mutates its argument.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .intervals import IntervalSet
 
 PairSet = dict[int, IntervalSet]
-
-
-def restrict_time(pairs: PairSet, window: IntervalSet) -> PairSet:
-    """Intersect every entry with ``window``; drop emptied entries."""
-    out: PairSet = {}
-    for v, iset in pairs.items():
-        cut = iset.intersect(window)
-        if cut:
-            out[v] = cut
-    return out
-
-
-def restrict_vertices(pairs: PairSet, keep: Iterable[int]) -> PairSet:
-    """Keep only entries whose vertex is in ``keep``."""
-    return {v: pairs[v] for v in keep if v in pairs}
 
 
 def merge_pair(vertex: int, iset: IntervalSet, pairs: PairSet) -> PairSet:
@@ -36,19 +19,4 @@ def merge_pair(vertex: int, iset: IntervalSet, pairs: PairSet) -> PairSet:
     out = dict(pairs)
     existing = out.get(vertex)
     out[vertex] = iset if existing is None else existing.union(iset)
-    return out
-
-
-def intersect(x: PairSet, y: PairSet) -> PairSet:
-    """Entry-wise interval-set intersection over the common vertices."""
-    if len(y) < len(x):
-        x, y = y, x
-    out: PairSet = {}
-    for v, iset in x.items():
-        other = y.get(v)
-        if other is None:
-            continue
-        cut = iset.intersect(other)
-        if cut:
-            out[v] = cut
     return out

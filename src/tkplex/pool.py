@@ -39,10 +39,10 @@ class Pool:
 
     def increment(
         self, vertex: int, frames: IntervalSet, critical_at: int
-    ) -> list[Interval]:
+    ) -> IntervalSet:
         """Add one to the vertex's count on every frame of ``frames``.
 
-        Returns the frame intervals whose new count equals ``critical_at``.
+        Returns the frames whose new count equals ``critical_at``.
         """
         old = self._runs.get(vertex) or [(1, self.last_frame, 0)]
         bumps = frames.intervals
@@ -72,4 +72,7 @@ class Pool:
                     merged.append((pos, hi, seg_value))
                 pos = hi + 1
         self._runs[vertex] = merged
-        return critical
+        # already canonical: inside one run, critical pieces are split by the
+        # gaps between the canonical bumps; across a run boundary the counts
+        # differ, so at most one side of it reaches critical_at
+        return IntervalSet._raw(critical)

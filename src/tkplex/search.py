@@ -11,12 +11,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
-from .graph import (
-    FrameDomain,
-    NonNeighborhoodIndex,
-    TemporalGraph,
-    build_nonneighborhood_index,
-)
+from .graph import FrameDomain, NonNeighborhoodIndex, TemporalGraph
 from .heuristics import connected_candidates, select_pivot
 from .intervals import Interval, IntervalSet
 from .pairset import PairSet, merge_pair
@@ -110,7 +105,7 @@ def update_pool(
             continue
         hits = new_pool.increment(w, frames, critical_at=k)
         if hits:
-            critical = merge_pair(w, IntervalSet(hits), critical)
+            critical = merge_pair(w, hits, critical)
     return new_pool, critical
 
 
@@ -189,11 +184,11 @@ def enumerate_maximal_plexes(
     Honors the pivoting and connectedness switches of ``config``; a time
     limit stops the search with partial output and ``timed_out`` set.
     """
+    started = time.monotonic()
     fd = FrameDomain.for_graph(graph, config.delta)
-    index = build_nonneighborhood_index(graph, fd)
+    index = NonNeighborhoodIndex(graph, fd)
     full = fd.full_set()
     stats = RunStats()
-    started = time.monotonic()
     deadline = None if config.time_limit is None else started + config.time_limit
     k = config.k
 
@@ -224,7 +219,7 @@ def enumerate_maximal_plexes(
         eligible = None
         if config.connectedness and members:
             eligible = set(
-                connected_candidates(candidates, members, lifetimes, graph, fd)
+                connected_candidates(candidates, members, lifetimes, index)
             )
             if not eligible:
                 return

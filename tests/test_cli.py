@@ -92,6 +92,29 @@ class TestEnumerateCommand:
         code = main(["enumerate", str(bad), "--delta", "0", "--k", "1"])
         assert code == EXIT_PARSE
 
+    def test_non_integer_columns_rejected(self, fig1_file, capsys):
+        code = main(
+            ["enumerate", str(fig1_file), "--columns", "0,x,2",
+             "--delta", "1", "--k", "2"]
+        )
+        assert code == EXIT_PARAMETER
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag", ["--output", "--stats"])
+    def test_unwritable_path_fails_before_search(
+        self, fig1_file, tmp_path, monkeypatch, capsys, flag
+    ):
+        def no_search(*args, **kwargs):
+            raise AssertionError("search started")
+
+        monkeypatch.setattr("tkplex.cli.enumerate_maximal_plexes", no_search)
+        code = main(
+            ["enumerate", str(fig1_file), "--delta", "1", "--k", "2",
+             flag, str(tmp_path / "absent" / "file.txt")]
+        )
+        assert code == EXIT_PARAMETER
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_timeout_exit_code(self, fig1_file, tmp_path):
         code, _ = run_enumerate(fig1_file, tmp_path, "--time-limit", "0")
         assert code == EXIT_TIMEOUT
@@ -170,6 +193,15 @@ class TestOracleCommand:
         )
         assert code == EXIT_MISMATCH
         assert "extra:   a c 2 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("delta,k", [("-1", "2"), ("1", "0")])
+    def test_bad_parameters_rejected(self, fig1_file, tmp_path, delta, k):
+        _, out = run_enumerate(fig1_file, tmp_path)
+        code = main(
+            ["oracle", str(fig1_file), "--delta", delta, "--k", k,
+             "--records", str(out)]
+        )
+        assert code == EXIT_PARAMETER
 
     def test_size_guard(self, tmp_path):
         path = tmp_path / "long.txt"

@@ -5,8 +5,8 @@ import pytest
 from tkplex.graph import (
     EdgeListParseError,
     FrameDomain,
+    NonNeighborhoodIndex,
     TemporalGraph,
-    build_nonneighborhood_index,
     delta_slice_degeneracy,
     frames_covered,
     normalize_timestamps,
@@ -120,7 +120,7 @@ class TestFrameDomain:
 
 class TestNonNeighborhoodIndex:
     def test_fixture_entries(self, fig1_graph):
-        index = build_nonneighborhood_index(
+        index = NonNeighborhoodIndex(
             fig1_graph, FrameDomain.for_graph(fig1_graph, 1)
         )
         a, b, c = 0, 1, 2
@@ -129,14 +129,14 @@ class TestNonNeighborhoodIndex:
         assert str(index.nonneighbor_frames(a, a)) == "{[1,5]}"
 
     def test_symmetric(self, fig1_graph):
-        index = build_nonneighborhood_index(
+        index = NonNeighborhoodIndex(
             fig1_graph, FrameDomain.for_graph(fig1_graph, 1)
         )
         assert index.nonneighbor_frames(1, 0) == index.nonneighbor_frames(0, 1)
 
     def test_edgeless_pair_is_full_domain(self):
         graph = TemporalGraph(("a", "b", "c"), ((1, 0, 1),), 4)
-        index = build_nonneighborhood_index(graph, FrameDomain.for_graph(graph, 0))
+        index = NonNeighborhoodIndex(graph, FrameDomain.for_graph(graph, 0))
         assert index.nonneighbor_frames(0, 2) == IntervalSet([(1, 4)])
 
     @pytest.mark.parametrize("delta", [0, 1, 2])
@@ -145,10 +145,10 @@ class TestNonNeighborhoodIndex:
         for _ in range(25):
             graph = random_temporal_graph(rng, rng.randint(2, 6), 7, 0.25)
             fd = FrameDomain.for_graph(graph, delta)
-            index = build_nonneighborhood_index(graph, fd)
+            index = NonNeighborhoodIndex(graph, fd)
             for u in range(graph.vertex_count):
                 for v in range(u + 1, graph.vertex_count):
-                    times = graph.pair_timestamps(u, v)
+                    times = [t for t, a, b in graph.edges if (a, b) == (u, v)]
                     got = index.nonneighbor_frames(u, v)
                     for i in range(1, fd.last_frame + 1):
                         naive = not any(i <= t <= i + delta for t in times)
@@ -160,12 +160,13 @@ class TestNonNeighborhoodIndex:
         for _ in range(15):
             graph = random_temporal_graph(rng, rng.randint(2, 5), 6, 0.3)
             fd = FrameDomain.for_graph(graph, delta)
-            index = build_nonneighborhood_index(graph, fd)
+            index = NonNeighborhoodIndex(graph, fd)
             for u in range(graph.vertex_count):
                 for v in range(u + 1, graph.vertex_count):
                     covered = IntervalSet(
                         frames_covered(t, fd)
-                        for t in graph.pair_timestamps(u, v)
+                        for t, a, b in graph.edges
+                        if (a, b) == (u, v)
                     )
                     assert index.neighbor_frames(u, v) == covered
 

@@ -1,6 +1,6 @@
 import random
 
-from tkplex.graph import FrameDomain, TemporalGraph, build_nonneighborhood_index
+from tkplex.graph import FrameDomain, NonNeighborhoodIndex, TemporalGraph
 from tkplex.heuristics import connected_candidates, select_pivot
 from tkplex.intervals import IntervalSet
 from tkplex.search import SearchConfig, collect_maximal_plexes
@@ -26,7 +26,7 @@ class TestSelectPivot:
     def test_complete_graph_root_collapses_fanout(self):
         graph = complete_temporal_graph(4, 3)
         fd = FrameDomain.for_graph(graph, 0)
-        index = build_nonneighborhood_index(graph, fd)
+        index = NonNeighborhoodIndex(graph, fd)
         candidates = {v: fd.full_set() for v in range(4)}
         choice = select_pivot((), fd.full_set(), candidates, {}, index)
         assert choice is not None
@@ -36,7 +36,7 @@ class TestSelectPivot:
 
     def test_fixture_root_suppression(self, fig1_graph):
         fd = FrameDomain.for_graph(fig1_graph, 1)
-        index = build_nonneighborhood_index(fig1_graph, fd)
+        index = NonNeighborhoodIndex(fig1_graph, fd)
         candidates = {v: fd.full_set() for v in range(3)}
         choice = select_pivot((), fd.full_set(), candidates, {}, index)
         # every pair has non-neighbor frames, so no candidate is fully
@@ -47,12 +47,12 @@ class TestSelectPivot:
 
     def test_empty_candidate_and_excluded_sets(self, fig1_graph):
         fd = FrameDomain.for_graph(fig1_graph, 1)
-        index = build_nonneighborhood_index(fig1_graph, fd)
+        index = NonNeighborhoodIndex(fig1_graph, fd)
         assert select_pivot((), fd.full_set(), {}, {}, index) is None
 
     def test_pivot_must_absorb_into_every_member(self, fig1_graph):
         fd = FrameDomain.for_graph(fig1_graph, 1)
-        index = build_nonneighborhood_index(fig1_graph, fd)
+        index = NonNeighborhoodIndex(fig1_graph, fd)
         # with C={a} over [3,4], b is a non-neighbor of a on all of [3,4],
         # so b is ineligible; c neighbors a throughout [3,4] and qualifies
         choice = select_pivot(
@@ -64,7 +64,7 @@ class TestSelectPivot:
     def test_excluded_vertices_can_pivot(self):
         graph = complete_temporal_graph(3, 2)
         fd = FrameDomain.for_graph(graph, 0)
-        index = build_nonneighborhood_index(graph, fd)
+        index = NonNeighborhoodIndex(graph, fd)
         full = fd.full_set()
         choice = select_pivot((), full, {1: full, 2: full}, {0: full}, index)
         assert choice is not None
@@ -75,24 +75,23 @@ class TestSelectPivot:
 class TestConnectedCandidates:
     def test_fixture_both_candidates_connect(self, fig1_graph):
         fd = FrameDomain.for_graph(fig1_graph, 1)
+        index = NonNeighborhoodIndex(fig1_graph, fd)
         full = fd.full_set()
-        got = connected_candidates(
-            {1: full, 2: full}, (0,), full, fig1_graph, fd
-        )
+        got = connected_candidates({1: full, 2: full}, (0,), full, index)
         assert set(got) == {1, 2}
 
     def test_empty_plex_keeps_everything(self, fig1_graph):
         fd = FrameDomain.for_graph(fig1_graph, 1)
+        index = NonNeighborhoodIndex(fig1_graph, fd)
         candidates = {1: fd.full_set()}
-        assert connected_candidates(candidates, (), fd.full_set(), fig1_graph, fd) == candidates
+        assert connected_candidates(candidates, (), fd.full_set(), index) == candidates
 
     def test_candidate_without_shared_frame_drops(self, fig1_graph):
         fd = FrameDomain.for_graph(fig1_graph, 1)
+        index = NonNeighborhoodIndex(fig1_graph, fd)
         # a and c share edges only at t=4 and t=6 (frames 3-5): restricted
         # to frames [1,2], c has no connection to the plex {a}
-        got = connected_candidates(
-            {2: iset((1, 2))}, (0,), fd.full_set(), fig1_graph, fd
-        )
+        got = connected_candidates({2: iset((1, 2))}, (0,), fd.full_set(), index)
         assert got == {}
 
 

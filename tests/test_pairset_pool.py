@@ -3,38 +3,12 @@ import random
 import pytest
 
 from tkplex import pairset
-from tkplex.intervals import EMPTY_SET, Interval, IntervalSet
+from tkplex.intervals import EMPTY_SET, IntervalSet
 from tkplex.pool import Pool
 
 
 def iset(*pairs) -> IntervalSet:
     return IntervalSet(pairs)
-
-
-class TestRestrictTime:
-    def test_per_entry_intersection(self):
-        pairs = {0: iset((1, 5)), 1: iset((3, 4))}
-        got = pairset.restrict_time(pairs, iset((4, 5)))
-        assert got == {0: iset((4, 5)), 1: iset((4, 4))}
-
-    def test_empty_window_annihilates(self):
-        assert pairset.restrict_time({0: iset((1, 5))}, EMPTY_SET) == {}
-
-    def test_empty_input(self):
-        assert pairset.restrict_time({}, iset((1, 5))) == {}
-
-
-class TestRestrictVertices:
-    def test_filter(self):
-        pairs = {0: iset((1, 5)), 1: iset((3, 4))}
-        assert pairset.restrict_vertices(pairs, {0}) == {0: iset((1, 5))}
-
-    def test_empty_keep_set(self):
-        assert pairset.restrict_vertices({0: iset((1, 5))}, set()) == {}
-
-    def test_superset_is_identity(self):
-        pairs = {0: iset((1, 5)), 1: iset((3, 4))}
-        assert pairset.restrict_vertices(pairs, {0, 1, 2}) == pairs
 
 
 class TestMergePair:
@@ -56,20 +30,6 @@ class TestMergePair:
         assert pairs == {0: iset((1, 2))}
 
 
-class TestIntersect:
-    def test_common_vertex(self):
-        assert pairset.intersect({0: iset((1, 5))}, {0: iset((3, 8))}) == {
-            0: iset((3, 5))
-        }
-
-    def test_disjoint_vertices(self):
-        assert pairset.intersect({0: iset((1, 5))}, {1: iset((1, 5))}) == {}
-
-    def test_idempotent(self):
-        pairs = {0: iset((1, 5)), 2: iset((2, 2), (7, 9))}
-        assert pairset.intersect(pairs, pairs) == pairs
-
-
 class TestPool:
     def test_starts_all_zero(self):
         pool = Pool(5)
@@ -83,13 +43,13 @@ class TestPool:
     def test_single_increment(self):
         pool = Pool(5)
         hits = pool.increment(0, iset((2, 4)), critical_at=1)
-        assert hits == [Interval(2, 4)]
+        assert hits == iset((2, 4))
         assert pool.runs(0) == [(1, 1, 0), (2, 4, 1), (5, 5, 0)]
 
     def test_critical_only_at_threshold(self):
         pool = Pool(5)
-        assert pool.increment(0, iset((1, 5)), critical_at=2) == []
-        assert pool.increment(0, iset((2, 3)), critical_at=2) == [Interval(2, 3)]
+        assert pool.increment(0, iset((1, 5)), critical_at=2) == EMPTY_SET
+        assert pool.increment(0, iset((2, 3)), critical_at=2) == iset((2, 3))
         assert pool.runs(0) == [(1, 1, 1), (2, 3, 2), (4, 5, 1)]
 
     def test_copy_isolated_from_later_increments(self):
@@ -110,6 +70,7 @@ class TestPool:
             hi = rng.randint(lo, 12)
             threshold = rng.randint(1, 5)
             hits = pool.increment(v, iset((lo, hi)), critical_at=threshold)
+            assert hits == IntervalSet(hits.intervals)
             for i in range(lo, hi + 1):
                 counts[v][i] += 1
             expected_hits = [

@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from tkplex.graph import FrameDomain, build_nonneighborhood_index
+from tkplex.graph import FrameDomain, NonNeighborhoodIndex
 from tkplex.intervals import Interval, IntervalSet
 from tkplex.oracle import enumerate_all_maximal
 from tkplex.pool import Pool
@@ -28,7 +29,7 @@ FULL = iset((1, 5))
 
 @pytest.fixture
 def fig1_index(fig1_graph):
-    return build_nonneighborhood_index(fig1_graph, FrameDomain.for_graph(fig1_graph, 1))
+    return NonNeighborhoodIndex(fig1_graph, FrameDomain.for_graph(fig1_graph, 1))
 
 
 class TestSearchConfig:
@@ -169,6 +170,16 @@ class TestEnumerate:
         assert stats.plex_count <= stats.recursive_calls
         assert stats.wall_time_seconds >= 0
         assert not stats.timed_out
+
+    def test_wall_time_includes_index_build(self, fig1_graph, monkeypatch):
+        class SlowIndex(NonNeighborhoodIndex):
+            def __init__(self, graph, fd):
+                time.sleep(0.05)
+                super().__init__(graph, fd)
+
+        monkeypatch.setattr("tkplex.search.NonNeighborhoodIndex", SlowIndex)
+        _, stats = collect_maximal_plexes(fig1_graph, SearchConfig(delta=1, k=2))
+        assert stats.wall_time_seconds >= 0.05
 
     def test_delta_too_large_rejected(self, fig1_graph):
         with pytest.raises(ValueError, match="too large"):
