@@ -34,11 +34,17 @@ class _CliError(Exception):
         self.code = code
 
 
-def _load_graph(args: argparse.Namespace) -> TemporalGraph:
+def _read_text(path: str) -> str:
     try:
-        text = Path(args.input).read_text()
-    except OSError as exc:
-        raise _CliError(f"cannot read {args.input}: {exc}", EXIT_PARSE) from exc
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
+
+
+def _load_graph(args: argparse.Namespace) -> TemporalGraph:
+    if args.resolution < 1:
+        raise _CliError("--resolution must be a positive integer", EXIT_PARAMETER)
+    text = _read_text(args.input)
     try:
         columns = tuple(int(c) for c in args.columns.split(","))
     except ValueError:
@@ -158,10 +164,7 @@ def cmd_degeneracy(args: argparse.Namespace) -> int:
 
 
 def _parse_record_file(path: str) -> set[tuple[tuple[str, ...], int, int]]:
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
+    lines = _read_text(path).splitlines()
     records = set()
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Iterator
 
-from .intervals import Interval, IntervalSet
+from .intervals import Interval
 
 log = logging.getLogger(__name__)
 
@@ -160,53 +162,80 @@ class FrameDomain:
             )
         return cls(delta, graph.lifetime - delta)
 
-    def full_set(self) -> IntervalSet:
-        return IntervalSet([(1, self.last_frame)])
-
 
 def frames_covered(t: int, fd: FrameDomain) -> Interval:
     """Frame indices i whose window [i, i+delta] contains time step t."""
     return Interval(max(1, t - fd.delta), min(fd.last_frame, t))
 
 
+class _Frames(int):
+    """A segment bitset whose ``len()`` is its number of maximal runs."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return (self & ~(self << 1)).bit_count()
+
+
 class NonNeighborhoodIndex:
     """Per-pair frame sets where two vertices share no edge in the window.
 
-    Pairs that never share an edge are kept implicit (full frame domain), as
-    is the self-entry of every vertex.  This is the library's one grouping of
-    edges by vertex pair: the search and the connectedness filter both read
-    it, while the oracle and the invariant monitor keep their own on purpose.
+    A frame set is an ``int`` bitset whose bit i stands for segment i: the
+    frames are cut at 1, at max(1, t - delta) and at t + 1 for every contact
+    t, so no pair's adjacency changes inside a segment, and there are at
+    most 2m + 1 segments however long the lifetime.  Pairs that never share
+    an edge are kept implicit (full domain), as is the self-entry of every
+    vertex.  This is the library's one grouping of edges by vertex pair;
+    the oracle and the invariant monitor keep their own on purpose.
     """
 
     def __init__(self, graph: TemporalGraph, fd: FrameDomain):
         self.frame_domain = fd
-        self.full = fd.full_set()
+        delta, last = fd.delta, fd.last_frame
+        cuts = {1}
         by_pair: dict[tuple[int, int], list[int]] = {}
         for t, u, v in graph.edges:  # edges sorted by t
+            cuts.add(max(1, t - delta))
+            if t < last:
+                cuts.add(t + 1)
             by_pair.setdefault((u, v), []).append(t)
-        self._pairs: dict[tuple[int, int], IntervalSet] = {}
-        last = fd.last_frame
+        self._starts = sorted(cuts)  # first frame of each segment
+        segment = {frame: i for i, frame in enumerate(self._starts)}
+        n = len(self._starts)
+        self.full = (1 << n) - 1
+        self._pairs: dict[tuple[int, int], _Frames] = {}
         for pair, times in by_pair.items():
-            gaps: list[Interval] = []
-            cursor = 1
+            neighbor = lo = hi = 0  # open run of neighbor segments [lo, hi)
             for t in times:
-                lo = max(1, t - fd.delta)
-                if lo > cursor:
-                    gaps.append(Interval(cursor, lo - 1))
-                cursor = max(cursor, min(last, t) + 1)
-            if cursor <= last:
-                gaps.append(Interval(cursor, last))
-            self._pairs[pair] = IntervalSet._raw(gaps)
+                a = segment[max(1, t - delta)]
+                if a > hi:
+                    neighbor |= (1 << hi) - (1 << lo)
+                    lo = a
+                hi = segment[t + 1] if t < last else n
+            neighbor |= (1 << hi) - (1 << lo)
+            self._pairs[pair] = _Frames(self.full ^ neighbor)
 
-    def nonneighbor_frames(self, u: int, v: int) -> IntervalSet:
-        """Frames where u and v are non-neighbors (full domain for u == v)."""
+    def nonneighbor_frames(self, u: int, v: int) -> int:
+        """Segments where u and v are non-neighbors (all of them for u == v)."""
         if u == v:
             return self.full
         key = (u, v) if u < v else (v, u)
         return self._pairs.get(key, self.full)
 
-    def neighbor_frames(self, u: int, v: int) -> IntervalSet:
-        return self.full.minus(self.nonneighbor_frames(u, v))
+    def runs(self, frames: int) -> Iterator[tuple[int, Interval]]:
+        """Each maximal run of ``frames``: its segment mask and frame interval."""
+        starts = self._starts
+        while frames:
+            low = frames & -frames
+            run = frames & ~(frames + low)
+            frames ^= run
+            hi = run.bit_length()
+            end = starts[hi] - 1 if hi < len(starts) else self.frame_domain.last_frame
+            yield run, Interval(starts[low.bit_length() - 1], end)
+
+    def segment(self, frame: int) -> int:
+        """Index of the segment that holds ``frame``."""
+        return bisect_right(self._starts, frame) - 1
 
 
 def _bucket_degeneracy(adjacency: dict[int, set[int]]) -> int:

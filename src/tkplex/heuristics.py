@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graph import NonNeighborhoodIndex
-from .intervals import IntervalSet
 from .pairset import PairSet
 
 
@@ -20,7 +19,7 @@ class PivotChoice:
 
 def select_pivot(
     members: Iterable[int],
-    lifetimes: IntervalSet,
+    lifetimes: int,
     candidates: PairSet,
     excluded: PairSet,
     index: NonNeighborhoodIndex,
@@ -28,10 +27,10 @@ def select_pivot(
     """Pick the pivot whose fully-adjacent candidate set is largest.
 
     Eligible pivots are candidate or excluded vertices adjacent to every plex
-    member throughout the call's entire lifetime interval set, so any plex
+    member throughout the call's entire lifetime frame set, so any plex
     interval emitted below this call can absorb the pivot.  A candidate is
     suppressed when it is adjacent to the pivot throughout the candidate's
-    interval set.  Ties break toward the smallest vertex index; returns None
+    frame set.  Ties break toward the smallest vertex index; returns None
     when no vertex is eligible.
     """
     entries = dict(excluded)
@@ -39,14 +38,12 @@ def select_pivot(
     members = tuple(members)
     best: tuple[int, frozenset[int]] | None = None
     for p in sorted(entries):
-        if any(
-            lifetimes.intersect(index.nonneighbor_frames(p, c)) for c in members
-        ):
+        if any(lifetimes & index.nonneighbor_frames(p, c) for c in members):
             continue
         suppressed = frozenset(
             w
             for w, iw in candidates.items()
-            if w != p and not iw.intersect(index.nonneighbor_frames(p, w))
+            if w != p and not iw & index.nonneighbor_frames(p, w)
         )
         if best is None or len(suppressed) > len(best[1]):
             best = (p, suppressed)
@@ -56,7 +53,7 @@ def select_pivot(
 def connected_candidates(
     candidates: PairSet,
     members: Iterable[int],
-    lifetimes: IntervalSet,
+    lifetimes: int,
     index: NonNeighborhoodIndex,
 ) -> PairSet:
     """Candidates with an edge to some plex member inside a shared frame.
@@ -69,9 +66,9 @@ def connected_candidates(
         return dict(candidates)
     out: PairSet = {}
     for w, iw in candidates.items():
-        window = iw.intersect(lifetimes)
-        if window.is_empty():
+        window = iw & lifetimes
+        if not window:
             continue
-        if any(window.intersect(index.neighbor_frames(w, c)) for c in members):
+        if any(window & ~index.nonneighbor_frames(w, c) for c in members):
             out[w] = iw
     return out

@@ -9,11 +9,10 @@ Intended for small instances only; every call costs O(|V|^2 * frames).
 from __future__ import annotations
 
 from bisect import bisect_left
+from typing import Callable
 
 from .graph import TemporalGraph
 from .intervals import Interval, IntervalSet
-from .pairset import PairSet
-from .pool import Pool
 
 
 class InvariantViolation(AssertionError):
@@ -69,12 +68,12 @@ class InvariantMonitor:
         self,
         members: tuple[int, ...],
         lifetimes: IntervalSet,
-        candidates: PairSet,
-        excluded: PairSet,
-        pool: Pool,
+        candidates: dict[int, IntervalSet],
+        excluded: dict[int, IntervalSet],
+        count: Callable[[int, int], int],
     ) -> None:
         self._check_call_unique(members, lifetimes)
-        self._check_pool(members, lifetimes, candidates, excluded, pool)
+        self._check_pool(members, lifetimes, candidates, excluded, count)
         self._check_lifetimes(members, lifetimes)
         self._check_candidates(members, lifetimes, candidates, excluded)
 
@@ -86,7 +85,7 @@ class InvariantMonitor:
             )
         self.calls_seen.add(fingerprint)
 
-    def _check_pool(self, members, lifetimes, candidates, excluded, pool) -> None:
+    def _check_pool(self, members, lifetimes, candidates, excluded, count) -> None:
         tracked = dict(candidates)
         tracked.update(excluded)
         for c in members:
@@ -98,7 +97,7 @@ class InvariantMonitor:
                     for u in members
                     if self._non_neighbors_in_frame(u, w, frame)
                 )
-                got = pool.count(w, frame)
+                got = count(w, frame)
                 if got != expected:
                     raise InvariantViolation(
                         f"pool count for vertex {w} frame {frame} is {got}, "

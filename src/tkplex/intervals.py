@@ -1,8 +1,10 @@
 """Closed integer intervals and canonical ordered collections of them.
 
-All values are immutable; every operation returns a fresh canonical
-``IntervalSet`` (sorted, pairwise disjoint, non-adjacent), so results can be
-shared freely between recursion branches.
+These are the frame sets of the API edge: plex records, the debug monitor
+and the interval algebra of the acceptance criteria.  The search itself
+works on segment bitsets (see ``graph.NonNeighborhoodIndex``).  All values
+are immutable; every operation returns a fresh canonical ``IntervalSet``
+(sorted, pairwise disjoint, non-adjacent).
 """
 
 from __future__ import annotations
@@ -66,9 +68,6 @@ class IntervalSet:
     def from_points(cls, points: Iterable[int]) -> "IntervalSet":
         return cls((p, p) for p in points)
 
-    def is_empty(self) -> bool:
-        return not self.intervals
-
     def __bool__(self) -> bool:
         return bool(self.intervals)
 
@@ -104,10 +103,6 @@ class IntervalSet:
             return False
         cand = self.intervals[idx - 1]
         return cand.start <= interval.start and cand.end >= interval.end
-
-    def covers_set(self, other: "IntervalSet") -> bool:
-        """True iff every interval of ``other`` is covered by this set."""
-        return all(self.covers(iv) for iv in other.intervals)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         a, b = self.intervals, other.intervals

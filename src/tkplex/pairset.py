@@ -1,22 +1,18 @@
-"""Vertex-to-interval-set mappings.
+"""Vertex-to-frame-set mappings.
 
-A pair set is a plain ``dict[int, IntervalSet]``; entries with an empty
-interval set are never stored.  ``merge_pair`` returns a new dict and never
-mutates its argument.
+A pair set is a plain ``dict[int, int]`` from a vertex to a segment bitset
+(see ``NonNeighborhoodIndex``); empty sets are never stored.  ``merge_pair``
+returns a new dict and never mutates its argument.
 """
 
 from __future__ import annotations
 
-from .intervals import IntervalSet
-
-PairSet = dict[int, IntervalSet]
+PairSet = dict[int, int]
 
 
-def merge_pair(vertex: int, iset: IntervalSet, pairs: PairSet) -> PairSet:
-    """Insert (vertex, iset), unioning with an existing entry for vertex."""
-    if iset.is_empty():
-        return dict(pairs)
+def merge_pair(vertex: int, frames: int, pairs: PairSet) -> PairSet:
+    """Insert (vertex, frames), unioning with an existing entry for vertex."""
     out = dict(pairs)
-    existing = out.get(vertex)
-    out[vertex] = iset if existing is None else existing.union(iset)
+    if frames:
+        out[vertex] = out.get(vertex, 0) | frames
     return out

@@ -1,78 +1,51 @@
-"""Run-length-encoded per-vertex, per-frame non-neighbor counters."""
+"""Bit-sliced per-vertex, per-segment non-neighbor counters."""
 
 from __future__ import annotations
-
-from .intervals import Interval, IntervalSet
-
-Run = tuple[int, int, int]  # (first frame, last frame, count)
 
 
 class Pool:
     """Counts of a vertex's non-neighbors inside the growing plex vertex set.
 
-    Per vertex, a list of runs partitions the frame domain [1, last_frame];
-    consecutive runs carry different counts.  Vertices without an entry are
-    implicitly all-zero.  ``copy`` is shallow and ``increment`` replaces run
-    lists instead of mutating them, so copies taken before an increment stay
-    valid (one copy per recursive call).
+    Per vertex, a tuple of bit planes over the segments of the frame domain
+    (see ``NonNeighborhoodIndex``): bit i of plane j is bit j of the count
+    on segment i.  Vertices without an entry are all-zero.  ``copy`` is
+    shallow and ``increment`` replaces plane tuples instead of mutating
+    them, so copies taken before an increment stay valid (one copy per
+    recursive call).
     """
 
-    __slots__ = ("last_frame", "_runs")
+    __slots__ = ("segments", "_planes")
 
-    def __init__(self, last_frame: int, runs: dict[int, list[Run]] | None = None):
-        if last_frame < 1:
+    def __init__(self, segments: int, planes: dict[int, tuple[int, ...]] | None = None):
+        if segments < 1:
             raise ValueError("frame domain must be non-empty")
-        self.last_frame = last_frame
-        self._runs: dict[int, list[Run]] = {} if runs is None else runs
+        self.segments = segments
+        self._planes: dict[int, tuple[int, ...]] = {} if planes is None else planes
 
     def copy(self) -> "Pool":
-        return Pool(self.last_frame, dict(self._runs))
+        return Pool(self.segments, dict(self._planes))
 
-    def count(self, vertex: int, frame: int) -> int:
-        for start, end, value in self._runs.get(vertex, ()):
-            if start <= frame <= end:
-                return value
-        return 0
+    def count(self, vertex: int, segment: int) -> int:
+        return sum(
+            ((plane >> segment) & 1) << j
+            for j, plane in enumerate(self._planes.get(vertex, ()))
+        )
 
-    def runs(self, vertex: int) -> list[Run]:
-        return list(self._runs.get(vertex, [(1, self.last_frame, 0)]))
+    def increment(self, vertex: int, frames: int, critical_at: int) -> int:
+        """Add one to the vertex's count on every segment of ``frames``.
 
-    def increment(
-        self, vertex: int, frames: IntervalSet, critical_at: int
-    ) -> IntervalSet:
-        """Add one to the vertex's count on every frame of ``frames``.
-
-        Returns the frames whose new count equals ``critical_at``.
+        Returns the segments whose new count equals ``critical_at``.
         """
-        old = self._runs.get(vertex) or [(1, self.last_frame, 0)]
-        bumps = frames.intervals
-        merged: list[Run] = []
-        critical: list[Interval] = []
-        bi = 0
-        for start, end, value in old:
-            pos = start
-            while pos <= end:
-                while bi < len(bumps) and bumps[bi].end < pos:
-                    bi += 1
-                if bi < len(bumps) and bumps[bi].start <= pos:
-                    hi = min(end, bumps[bi].end)
-                    seg_value = value + 1
-                    if seg_value == critical_at:
-                        critical.append(Interval(pos, hi))
-                else:
-                    hi = (
-                        min(end, bumps[bi].start - 1)
-                        if bi < len(bumps)
-                        else end
-                    )
-                    seg_value = value
-                if merged and merged[-1][2] == seg_value:
-                    merged[-1] = (merged[-1][0], hi, seg_value)
-                else:
-                    merged.append((pos, hi, seg_value))
-                pos = hi + 1
-        self._runs[vertex] = merged
-        # already canonical: inside one run, critical pieces are split by the
-        # gaps between the canonical bumps; across a run boundary the counts
-        # differ, so at most one side of it reaches critical_at
-        return IntervalSet._raw(critical)
+        planes = []
+        carry = frames
+        for plane in self._planes.get(vertex, ()):  # ripple carry
+            planes.append(plane ^ carry)
+            carry &= plane
+        if carry:
+            planes.append(carry)
+        self._planes[vertex] = tuple(planes)
+        hits = frames
+        for plane in planes:
+            hits &= plane if critical_at & 1 else ~plane
+            critical_at >>= 1
+        return 0 if critical_at else hits

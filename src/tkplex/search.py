@@ -1,8 +1,10 @@
 """Recursive enumeration of all maximal temporal k-plexes.
 
-The search walks vertex-interval-set candidates in ascending vertex order,
-keeps a copy-on-write pool of per-frame non-neighbor counts, and reports
-every maximal plex exactly once through a caller-supplied sink.
+The search walks vertex-frame-set candidates in ascending vertex order,
+keeps a copy-on-write pool of per-segment non-neighbor counts, and reports
+every maximal plex exactly once through a caller-supplied sink.  Inside the
+search every frame set is an ``int`` bitset over the index's segments;
+plex records carry frame intervals.
 """
 
 from __future__ import annotations
@@ -59,15 +61,18 @@ class RunStats:
 
 
 class CallMonitor(Protocol):
-    """Debug hook invoked at the top of every recursive call."""
+    """Debug hook invoked at the top of every recursive call.
+
+    It sees frame sets as ``IntervalSet``s and pool counts per frame.
+    """
 
     def on_call(
         self,
         members: tuple[int, ...],
         lifetimes: IntervalSet,
-        candidates: PairSet,
-        excluded: PairSet,
-        pool: Pool,
+        candidates: dict[int, IntervalSet],
+        excluded: dict[int, IntervalSet],
+        count: Callable[[int, int], int],  # (vertex, frame) -> pool count
     ) -> None: ...
 
 
@@ -81,7 +86,7 @@ class _TimeLimitReached(Exception):
 def update_pool(
     pool: Pool,
     members: tuple[int, ...],
-    pair: tuple[int, IntervalSet],
+    pair: tuple[int, int],
     candidates: PairSet,
     excluded: PairSet,
     index: NonNeighborhoodIndex,
@@ -100,8 +105,8 @@ def update_pool(
     new_pool = pool.copy()
     critical: PairSet = {}
     for w, iw in tracked.items():
-        frames = iw.intersect(index.nonneighbor_frames(v, w))
-        if frames.is_empty():
+        frames = iw & index.nonneighbor_frames(v, w)
+        if not frames:
             continue
         hits = new_pool.increment(w, frames, critical_at=k)
         if hits:
@@ -113,7 +118,7 @@ def update_candidates(
     source: PairSet,
     members: tuple[int, ...],
     critical: PairSet,
-    pair: tuple[int, IntervalSet],
+    pair: tuple[int, int],
     index: NonNeighborhoodIndex,
 ) -> PairSet:
     """Shrink candidate (or excluded) entries after growing the plex.
@@ -128,18 +133,16 @@ def update_candidates(
     for w, iw in source.items():
         if w == v:
             continue
-        iw = iw.intersect(iv)
-        if iw.is_empty():
+        iw &= iv
+        if not iw:
             continue
         for u in (*members, w):
             blocked = critical.get(u)
             if blocked is None:
                 continue
-            cut = blocked.intersect(index.nonneighbor_frames(u, w)).intersect(iw)
-            if cut:
-                iw = iw.minus(cut)
-                if iw.is_empty():
-                    break
+            iw &= ~(blocked & index.nonneighbor_frames(u, w))
+            if not iw:
+                break
         if iw:
             out[w] = iw
     return out
@@ -147,29 +150,26 @@ def update_candidates(
 
 def emit_maximal(
     members: tuple[int, ...],
-    lifetimes: IntervalSet,
+    lifetimes: int,
     candidates: PairSet,
     excluded: PairSet,
+    index: NonNeighborhoodIndex,
     min_size: int = 1,
 ) -> list[PlexRecord]:
-    """Plex records for the lifetimes no candidate matches exactly.
+    """Plex records for the lifetime runs no candidate matches exactly.
 
-    An interval is withheld only when some candidate or excluded entry holds
-    that exact interval (coverage is not enough to witness non-maximality).
+    A run is withheld when some candidate or excluded entry holds all of
+    it.  Every entry is a subset of the lifetimes, so such an entry has that
+    exact run as one of its own maximal runs.
     """
     if len(members) < min_size:
         return []
-    blocked = {
-        iv
-        for pairs in (candidates, excluded)
-        for iset in pairs.values()
-        for iv in iset.intervals
-    }
+    entries = [*candidates.values(), *excluded.values()]
     ordered = tuple(sorted(members))
     return [
         PlexRecord(ordered, iv)
-        for iv in lifetimes.intervals
-        if iv not in blocked
+        for run, iv in index.runs(lifetimes)
+        if not any(e & run == run for e in entries)
     ]
 
 
@@ -187,7 +187,6 @@ def enumerate_maximal_plexes(
     started = time.monotonic()
     fd = FrameDomain.for_graph(graph, config.delta)
     index = NonNeighborhoodIndex(graph, fd)
-    full = fd.full_set()
     stats = RunStats()
     deadline = None if config.time_limit is None else started + config.time_limit
     k = config.k
@@ -195,7 +194,7 @@ def enumerate_maximal_plexes(
     def recurse(
         candidates: PairSet,
         members: tuple[int, ...],
-        lifetimes: IntervalSet,
+        lifetimes: int,
         excluded: PairSet,
         pool: Pool,
     ) -> None:
@@ -203,9 +202,12 @@ def enumerate_maximal_plexes(
         if deadline is not None and time.monotonic() > deadline:
             raise _TimeLimitReached
         if monitor is not None:
-            monitor.on_call(members, lifetimes, candidates, excluded, pool)
+            entries = ({w: _frame_set(index, f) for w, f in pairs.items()}
+                       for pairs in (candidates, excluded))
+            monitor.on_call(members, _frame_set(index, lifetimes), *entries,
+                            lambda w, frame: pool.count(w, index.segment(frame)))
         for record in emit_maximal(
-            members, lifetimes, candidates, excluded, config.min_size
+            members, lifetimes, candidates, excluded, index, config.min_size
         ):
             stats.plex_count += 1
             stats.max_plex_order = max(stats.max_plex_order, len(record.vertices))
@@ -250,13 +252,18 @@ def enumerate_maximal_plexes(
             del remaining[v]
             tried[v] = iv
 
+    full = index.full
     root_candidates = {v: full for v in range(graph.vertex_count)}
     try:
-        recurse(root_candidates, (), full, {}, Pool(fd.last_frame))
+        recurse(root_candidates, (), full, {}, Pool(full.bit_length()))
     except _TimeLimitReached:
         stats.timed_out = True
     stats.wall_time_seconds = time.monotonic() - started
     return stats
+
+
+def _frame_set(index: NonNeighborhoodIndex, frames: int) -> IntervalSet:
+    return IntervalSet._raw([iv for _, iv in index.runs(frames)])
 
 
 def collect_maximal_plexes(

@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from tkplex.graph import TemporalGraph, parse_edge_list
+from tkplex.graph import NonNeighborhoodIndex, TemporalGraph, parse_edge_list
+from tkplex.intervals import IntervalSet
 
 FIG1_TEXT = """\
 1 b c
@@ -24,6 +25,20 @@ def fig1_text() -> str:
 @pytest.fixture
 def fig1_graph() -> TemporalGraph:
     return parse_edge_list(FIG1_TEXT)
+
+
+def frame_bits(index: NonNeighborhoodIndex, *pairs: tuple[int, int]) -> int:
+    """The search's segment bitset for the frame intervals ``pairs``."""
+    bits = 0
+    for a, b in pairs:
+        bits |= (1 << (index.segment(b) + 1)) - (1 << index.segment(a))
+    assert frame_set(index, bits) == IntervalSet(pairs), "not segment-aligned"
+    return bits
+
+
+def frame_set(index: NonNeighborhoodIndex, bits: int) -> IntervalSet:
+    """The frame intervals of a segment bitset."""
+    return IntervalSet(iv for _, iv in index.runs(bits))
 
 
 def random_temporal_graph(

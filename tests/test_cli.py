@@ -213,3 +213,41 @@ class TestOracleCommand:
              "--records", str(records)]
         )
         assert code == EXIT_PARAMETER
+
+
+class TestInputErrors:
+    COMMANDS = {
+        "enumerate": ["--delta", "1", "--k", "2"],
+        "degeneracy": ["--delta", "1"],
+        "oracle": ["--delta", "1", "--k", "2", "--records", "unused.txt"],
+    }
+
+    @pytest.mark.parametrize("resolution", ["0", "-20"])
+    @pytest.mark.parametrize("command", ["enumerate", "degeneracy", "oracle"])
+    def test_nonpositive_resolution_rejected(
+        self, fig1_file, capsys, command, resolution
+    ):
+        code = main(
+            [command, str(fig1_file), "--resolution", resolution,
+             *self.COMMANDS[command]]
+        )
+        assert code == EXIT_PARAMETER
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_non_utf8_input_rejected(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("1 \xe9 b\n".encode("latin-1"))
+        code = main(["enumerate", str(path), "--delta", "0", "--k", "1"])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_utf8_records_rejected(self, fig1_file, tmp_path, capsys):
+        records = tmp_path / "records.txt"
+        records.write_bytes(b"a b \xff 1 5\n")
+        code = main(
+            ["oracle", str(fig1_file), "--delta", "1", "--k", "2",
+             "--records", str(records)]
+        )
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: ")

@@ -16,7 +16,7 @@ from tkplex.graph import (
 )
 from tkplex.intervals import Interval, IntervalSet
 
-from conftest import edgeless_graph, random_temporal_graph
+from conftest import edgeless_graph, frame_set, random_temporal_graph
 
 
 class TestParseEdgeList:
@@ -101,8 +101,7 @@ class TestNormalizeTimestamps:
 class TestFrameDomain:
     def test_for_graph(self, fig1_graph):
         fd = FrameDomain.for_graph(fig1_graph, 1)
-        assert fd.last_frame == 5
-        assert fd.full_set() == IntervalSet([(1, 5)])
+        assert fd == FrameDomain(delta=1, last_frame=5)
 
     def test_delta_too_large(self, fig1_graph):
         with pytest.raises(ValueError, match="too large"):
@@ -124,9 +123,9 @@ class TestNonNeighborhoodIndex:
             fig1_graph, FrameDomain.for_graph(fig1_graph, 1)
         )
         a, b, c = 0, 1, 2
-        assert str(index.nonneighbor_frames(a, b)) == "{[3,4]}"
-        assert str(index.nonneighbor_frames(a, c)) == "{[1,2]}"
-        assert str(index.nonneighbor_frames(a, a)) == "{[1,5]}"
+        assert str(frame_set(index, index.nonneighbor_frames(a, b))) == "{[3,4]}"
+        assert str(frame_set(index, index.nonneighbor_frames(a, c))) == "{[1,2]}"
+        assert str(frame_set(index, index.nonneighbor_frames(a, a))) == "{[1,5]}"
 
     def test_symmetric(self, fig1_graph):
         index = NonNeighborhoodIndex(
@@ -137,7 +136,16 @@ class TestNonNeighborhoodIndex:
     def test_edgeless_pair_is_full_domain(self):
         graph = TemporalGraph(("a", "b", "c"), ((1, 0, 1),), 4)
         index = NonNeighborhoodIndex(graph, FrameDomain.for_graph(graph, 0))
-        assert index.nonneighbor_frames(0, 2) == IntervalSet([(1, 4)])
+        assert frame_set(index, index.nonneighbor_frames(0, 2)) == IntervalSet([(1, 4)])
+
+    def test_segments_do_not_grow_with_lifetime(self):
+        graph = parse_edge_list("1 a b\n7 b c\n1000000000 a b\n")
+        index = NonNeighborhoodIndex(graph, FrameDomain.for_graph(graph, 2))
+        assert index.full.bit_length() <= 2 * graph.edge_count + 1
+        assert frame_set(index, index.nonneighbor_frames(0, 1)) == IntervalSet(
+            [(2, 999999997)]
+        )
+        assert len(index.nonneighbor_frames(0, 1)) == 1
 
     @pytest.mark.parametrize("delta", [0, 1, 2])
     def test_matches_naive_window_scan(self, delta):
@@ -149,7 +157,7 @@ class TestNonNeighborhoodIndex:
             for u in range(graph.vertex_count):
                 for v in range(u + 1, graph.vertex_count):
                     times = [t for t, a, b in graph.edges if (a, b) == (u, v)]
-                    got = index.nonneighbor_frames(u, v)
+                    got = frame_set(index, index.nonneighbor_frames(u, v))
                     for i in range(1, fd.last_frame + 1):
                         naive = not any(i <= t <= i + delta for t in times)
                         assert got.covers(Interval(i, i)) == naive
@@ -168,7 +176,8 @@ class TestNonNeighborhoodIndex:
                         for t, a, b in graph.edges
                         if (a, b) == (u, v)
                     )
-                    assert index.neighbor_frames(u, v) == covered
+                    neighbor = index.full & ~index.nonneighbor_frames(u, v)
+                    assert frame_set(index, neighbor) == covered
 
 
 class TestDegeneracy:

@@ -2,14 +2,9 @@ import random
 
 from tkplex.graph import FrameDomain, NonNeighborhoodIndex, TemporalGraph
 from tkplex.heuristics import connected_candidates, select_pivot
-from tkplex.intervals import IntervalSet
 from tkplex.search import SearchConfig, collect_maximal_plexes
 
-from conftest import random_temporal_graph
-
-
-def iset(*pairs) -> IntervalSet:
-    return IntervalSet(pairs)
+from conftest import frame_bits, random_temporal_graph
 
 
 def complete_temporal_graph(n: int, omega: int) -> TemporalGraph:
@@ -27,8 +22,8 @@ class TestSelectPivot:
         graph = complete_temporal_graph(4, 3)
         fd = FrameDomain.for_graph(graph, 0)
         index = NonNeighborhoodIndex(graph, fd)
-        candidates = {v: fd.full_set() for v in range(4)}
-        choice = select_pivot((), fd.full_set(), candidates, {}, index)
+        candidates = {v: index.full for v in range(4)}
+        choice = select_pivot((), index.full, candidates, {}, index)
         assert choice is not None
         assert choice.pivot == 0  # smallest index wins the tie
         assert choice.suppressed == frozenset({1, 2, 3})
@@ -37,8 +32,8 @@ class TestSelectPivot:
     def test_fixture_root_suppression(self, fig1_graph):
         fd = FrameDomain.for_graph(fig1_graph, 1)
         index = NonNeighborhoodIndex(fig1_graph, fd)
-        candidates = {v: fd.full_set() for v in range(3)}
-        choice = select_pivot((), fd.full_set(), candidates, {}, index)
+        candidates = {v: index.full for v in range(3)}
+        choice = select_pivot((), index.full, candidates, {}, index)
         # every pair has non-neighbor frames, so no candidate is fully
         # adjacent to any pivot over the whole domain [1,5]
         assert choice is not None
@@ -48,16 +43,15 @@ class TestSelectPivot:
     def test_empty_candidate_and_excluded_sets(self, fig1_graph):
         fd = FrameDomain.for_graph(fig1_graph, 1)
         index = NonNeighborhoodIndex(fig1_graph, fd)
-        assert select_pivot((), fd.full_set(), {}, {}, index) is None
+        assert select_pivot((), index.full, {}, {}, index) is None
 
     def test_pivot_must_absorb_into_every_member(self, fig1_graph):
         fd = FrameDomain.for_graph(fig1_graph, 1)
         index = NonNeighborhoodIndex(fig1_graph, fd)
         # with C={a} over [3,4], b is a non-neighbor of a on all of [3,4],
         # so b is ineligible; c neighbors a throughout [3,4] and qualifies
-        choice = select_pivot(
-            (0,), iset((3, 4)), {1: iset((3, 4)), 2: iset((3, 4))}, {}, index
-        )
+        window = frame_bits(index, (3, 4))
+        choice = select_pivot((0,), window, {1: window, 2: window}, {}, index)
         assert choice is not None
         assert choice.pivot == 2
 
@@ -65,7 +59,7 @@ class TestSelectPivot:
         graph = complete_temporal_graph(3, 2)
         fd = FrameDomain.for_graph(graph, 0)
         index = NonNeighborhoodIndex(graph, fd)
-        full = fd.full_set()
+        full = index.full
         choice = select_pivot((), full, {1: full, 2: full}, {0: full}, index)
         assert choice is not None
         assert choice.pivot == 0
@@ -76,22 +70,24 @@ class TestConnectedCandidates:
     def test_fixture_both_candidates_connect(self, fig1_graph):
         fd = FrameDomain.for_graph(fig1_graph, 1)
         index = NonNeighborhoodIndex(fig1_graph, fd)
-        full = fd.full_set()
+        full = index.full
         got = connected_candidates({1: full, 2: full}, (0,), full, index)
         assert set(got) == {1, 2}
 
     def test_empty_plex_keeps_everything(self, fig1_graph):
         fd = FrameDomain.for_graph(fig1_graph, 1)
         index = NonNeighborhoodIndex(fig1_graph, fd)
-        candidates = {1: fd.full_set()}
-        assert connected_candidates(candidates, (), fd.full_set(), index) == candidates
+        candidates = {1: index.full}
+        assert connected_candidates(candidates, (), index.full, index) == candidates
 
     def test_candidate_without_shared_frame_drops(self, fig1_graph):
         fd = FrameDomain.for_graph(fig1_graph, 1)
         index = NonNeighborhoodIndex(fig1_graph, fd)
         # a and c share edges only at t=4 and t=6 (frames 3-5): restricted
         # to frames [1,2], c has no connection to the plex {a}
-        got = connected_candidates({2: iset((1, 2))}, (0,), fd.full_set(), index)
+        got = connected_candidates(
+            {2: frame_bits(index, (1, 2))}, (0,), index.full, index
+        )
         assert got == {}
 
 

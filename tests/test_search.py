@@ -1,9 +1,11 @@
+import functools
 import random
 import time
+import tracemalloc
 
 import pytest
 
-from tkplex.graph import FrameDomain, NonNeighborhoodIndex
+from tkplex.graph import FrameDomain, NonNeighborhoodIndex, parse_edge_list
 from tkplex.intervals import Interval, IntervalSet
 from tkplex.oracle import enumerate_all_maximal
 from tkplex.pool import Pool
@@ -17,19 +19,22 @@ from tkplex.search import (
     update_pool,
 )
 
-from conftest import edgeless_graph, random_temporal_graph
+from conftest import edgeless_graph, frame_bits, frame_set, random_temporal_graph
 
 
 def iset(*pairs) -> IntervalSet:
     return IntervalSet(pairs)
 
 
-FULL = iset((1, 5))
+@pytest.fixture
+def fig1_index(fig1_graph):
+    # every frame of [1,5] is a segment of its own at delta=1
+    return NonNeighborhoodIndex(fig1_graph, FrameDomain.for_graph(fig1_graph, 1))
 
 
 @pytest.fixture
-def fig1_index(fig1_graph):
-    return NonNeighborhoodIndex(fig1_graph, FrameDomain.for_graph(fig1_graph, 1))
+def bits(fig1_index):
+    return functools.partial(frame_bits, fig1_index)
 
 
 class TestSearchConfig:
@@ -47,74 +52,88 @@ class TestSearchConfig:
 class TestUpdatePool:
     # first growth step on the 3-vertex fixture: C grows from {} to {a}
     def _grow_by_a(self, index, k):
-        root = {0: FULL, 1: FULL, 2: FULL}
-        return update_pool(Pool(5), (0,), (0, FULL), root, {}, index, k)
+        full = index.full
+        root = {0: full, 1: full, 2: full}
+        return update_pool(Pool(5), (0,), (0, full), root, {}, index, k)
 
     def test_counts_after_adding_a(self, fig1_index):
         pool, critical = self._grow_by_a(fig1_index, k=2)
-        assert all(pool.count(0, t) == 1 for t in range(1, 6))
-        assert [t for t in range(1, 6) if pool.count(1, t) == 1] == [3, 4]
+        seg = fig1_index.segment
+        assert all(pool.count(0, seg(t)) == 1 for t in range(1, 6))
+        assert [t for t in range(1, 6) if pool.count(1, seg(t)) == 1] == [3, 4]
         assert 1 not in critical
 
     def test_critical_pairs_for_cliques(self, fig1_index):
         _, critical = self._grow_by_a(fig1_index, k=1)
-        assert critical[0] == iset((1, 5))
-        assert critical[1] == iset((3, 4))
-        assert critical[2] == iset((1, 2))
+        assert frame_set(fig1_index, critical[0]) == iset((1, 5))
+        assert frame_set(fig1_index, critical[1]) == iset((3, 4))
+        assert frame_set(fig1_index, critical[2]) == iset((1, 2))
 
     def test_input_pool_untouched(self, fig1_index):
+        full = fig1_index.full
         pool = Pool(5)
-        update_pool(pool, (0,), (0, FULL), {0: FULL, 1: FULL}, {}, fig1_index, 2)
-        assert pool.runs(0) == [(1, 5, 0)]
+        update_pool(pool, (0,), (0, full), {0: full, 1: full}, {}, fig1_index, 2)
+        assert all(pool.count(0, i) == 0 for i in range(5))
 
 
 class TestUpdateCandidates:
     def test_candidate_survives_below_threshold(self, fig1_index):
-        root = {0: FULL, 1: FULL, 2: FULL}
-        _, critical = update_pool(Pool(5), (0,), (0, FULL), root, {}, fig1_index, 2)
-        out = update_candidates(root, (0,), critical, (0, FULL), fig1_index)
-        assert out[1] == FULL
+        full = fig1_index.full
+        root = {0: full, 1: full, 2: full}
+        _, critical = update_pool(Pool(5), (0,), (0, full), root, {}, fig1_index, 2)
+        out = update_candidates(root, (0,), critical, (0, full), fig1_index)
+        assert out[1] == full
 
     def test_candidate_shrinks_at_threshold(self, fig1_index):
-        root = {0: FULL, 1: FULL, 2: FULL}
-        _, critical = update_pool(Pool(5), (0,), (0, FULL), root, {}, fig1_index, 1)
-        out = update_candidates(root, (0,), critical, (0, FULL), fig1_index)
-        assert out[1] == iset((1, 2), (5, 5))
+        full = fig1_index.full
+        root = {0: full, 1: full, 2: full}
+        _, critical = update_pool(Pool(5), (0,), (0, full), root, {}, fig1_index, 1)
+        out = update_candidates(root, (0,), critical, (0, full), fig1_index)
+        assert frame_set(fig1_index, out[1]) == iset((1, 2), (5, 5))
 
     def test_grown_vertex_never_in_result(self, fig1_index):
-        root = {0: FULL, 1: FULL, 2: FULL}
-        _, critical = update_pool(Pool(5), (0,), (0, FULL), root, {}, fig1_index, 2)
-        out = update_candidates(root, (0,), critical, (0, FULL), fig1_index)
+        full = fig1_index.full
+        root = {0: full, 1: full, 2: full}
+        _, critical = update_pool(Pool(5), (0,), (0, full), root, {}, fig1_index, 2)
+        out = update_candidates(root, (0,), critical, (0, full), fig1_index)
         assert 0 not in out
 
-    def test_entries_outside_new_lifetime_drop(self, fig1_index):
-        source = {1: iset((1, 2))}
-        out = update_candidates(source, (0,), {}, (0, iset((4, 5))), fig1_index)
+    def test_entries_outside_new_lifetime_drop(self, fig1_index, bits):
+        source = {1: bits((1, 2))}
+        out = update_candidates(source, (0,), {}, (0, bits((4, 5))), fig1_index)
         assert out == {}
 
 
 class TestEmitMaximal:
-    def test_emits_unblocked_interval(self):
-        got = emit_maximal((0, 1, 2), iset((4, 5)), {}, {})
+    def test_emits_unblocked_interval(self, fig1_index, bits):
+        got = emit_maximal((0, 1, 2), bits((4, 5)), {}, {}, fig1_index)
         assert got == [PlexRecord((0, 1, 2), Interval(4, 5))]
 
-    def test_exact_interval_match_blocks(self):
-        got = emit_maximal((0,), iset((4, 5)), {1: iset((4, 5))}, {})
+    def test_exact_interval_match_blocks(self, fig1_index, bits):
+        got = emit_maximal((0,), bits((4, 5)), {1: bits((4, 5))}, {}, fig1_index)
         assert got == []
 
-    def test_coverage_alone_does_not_block(self):
-        got = emit_maximal((0,), iset((4, 5)), {1: iset((3, 5))}, {})
-        assert got == [PlexRecord((0,), Interval(4, 5))]
+    def test_coverage_alone_does_not_block(self, fig1_index, bits):
+        # entries are subsets of the lifetimes, so an entry can cover a
+        # lifetime run only by holding it exactly; one that holds part of
+        # the run, or the whole of another run, does not block it
+        lifetimes = bits((1, 2), (4, 5))
+        got = emit_maximal(
+            (0,), lifetimes, {1: bits((1, 1), (4, 5))}, {2: bits((2, 2))}, fig1_index
+        )
+        assert got == [PlexRecord((0,), Interval(1, 2))]
 
-    def test_root_call_emits_nothing(self):
-        root = {v: FULL for v in range(3)}
-        assert emit_maximal((), FULL, root, {}) == []
+    def test_root_call_emits_nothing(self, fig1_index):
+        full = fig1_index.full
+        root = {v: full for v in range(3)}
+        assert emit_maximal((), full, root, {}, fig1_index) == []
 
-    def test_min_size_filter(self):
-        assert emit_maximal((0, 1, 2), iset((4, 5)), {}, {}, min_size=5) == []
+    def test_min_size_filter(self, fig1_index, bits):
+        got = emit_maximal((0, 1, 2), bits((4, 5)), {}, {}, fig1_index, min_size=5)
+        assert got == []
 
-    def test_emits_in_ascending_interval_order(self):
-        got = emit_maximal((0,), iset((1, 2), (4, 5)), {}, {})
+    def test_emits_in_ascending_interval_order(self, fig1_index, bits):
+        got = emit_maximal((0,), bits((1, 2), (4, 5)), {}, {}, fig1_index)
         assert [r.interval for r in got] == [Interval(1, 2), Interval(4, 5)]
 
 
@@ -196,6 +215,34 @@ class TestEnumerate:
             fig1_graph, SearchConfig(delta=1, k=1), sink=seen.append
         )
         assert len(seen) == stats.plex_count
+
+    def test_long_sparse_lifetime(self):
+        # six contacts over a lifetime of 10^9 steps: the search works on
+        # the segments between contacts, not on a billion frames
+        graph = parse_edge_list(
+            "1 a b\n2 b c\n500000000 a c\n500000001 a b\n"
+            "999999999 b c\n1000000000 a b\n"
+        )
+        tracemalloc.start()
+        try:
+            records, _ = collect_maximal_plexes(graph, SearchConfig(delta=3, k=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        lines = sorted(
+            " ".join((*(graph.labels[v] for v in r.vertices),
+                      str(r.interval.start), str(r.interval.end)))
+            for r in records
+        )
+        assert lines == [
+            "a b 1 999999997",
+            "a b c 1 1",
+            "a b c 499999998 500000000",
+            "a b c 999999997 999999997",
+            "a c 1 999999997",
+            "b c 1 999999997",
+        ]
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("delta,k", [(0, 1), (1, 2), (2, 3)])
     def test_random_graphs_match_oracle(self, delta, k):
