@@ -49,8 +49,8 @@ def _load_graph(args: argparse.Namespace) -> TemporalGraph:
         columns = tuple(int(c) for c in args.columns.split(","))
     except ValueError:
         columns = ()
-    if len(columns) != 3:
-        raise _CliError("--columns needs three comma-separated indices", EXIT_PARAMETER)
+    if len(columns) != 3 or min(columns) < 0:
+        raise _CliError("--columns needs three non-negative indices", EXIT_PARAMETER)
     try:
         graph = parse_edge_list(
             text,
@@ -65,15 +65,29 @@ def _load_graph(args: argparse.Namespace) -> TemporalGraph:
 
 
 def scaled_delta(exponent: int, lifetime: int, edge_count: int) -> int:
-    """Dataset-independent delta: reference value 5^e scaled by lifetime/5m."""
-    return max(0, round(5**exponent * lifetime / (5 * edge_count)))
+    """Dataset-independent delta: reference value 5^e scaled by lifetime/5m.
+
+    Exact integers, rounded half to even: a huge exponent cannot overflow.
+    """
+    num = lifetime * 5 ** max(exponent - 1, 0)
+    den = edge_count * 5 ** max(1 - exponent, 0)
+    q, r = divmod(num, den)
+    return q + (2 * r > den or (2 * r == den and q % 2 == 1))
+
+
+def _delta_from_exponent(exponent: int, graph: TemporalGraph) -> int:
+    delta = scaled_delta(exponent, graph.lifetime, graph.edge_count)
+    if delta >= graph.lifetime:  # FrameDomain's message would print every digit
+        message = f"--delta-exp {exponent}: delta too large for lifetime"
+        raise _CliError(f"{message} {graph.lifetime}", EXIT_PARAMETER)
+    return delta
 
 
 def _resolve_delta(args: argparse.Namespace, graph: TemporalGraph) -> int:
     if args.delta is not None:  # raw value wins over the scaled form
         return args.delta
     if args.delta_exp is not None:
-        return scaled_delta(args.delta_exp, graph.lifetime, graph.edge_count)
+        return _delta_from_exponent(args.delta_exp, graph)
     raise _CliError("one of --delta or --delta-exp is required", EXIT_PARAMETER)
 
 
@@ -98,7 +112,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         config = SearchConfig(
             delta=delta,
             k=args.k,
-            pivoting=args.pivoting,
             connectedness=args.connected,
             time_limit=args.time_limit,
         )
@@ -123,7 +136,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             "omega": graph.lifetime,
             "delta": delta,
             "k": args.k,
-            "pivoting": args.pivoting,
             "connected": args.connected,
             "plex_count": stats.plex_count,
             "max_plex_order": stats.max_plex_order,
@@ -152,7 +164,7 @@ def cmd_degeneracy(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     deltas = list(args.delta or [])
     for exponent in args.delta_exp or []:
-        deltas.append(scaled_delta(exponent, graph.lifetime, graph.edge_count))
+        deltas.append(_delta_from_exponent(exponent, graph))
     print(f"static_degeneracy={oracle_mod.static_degeneracy(graph.union_adjacency())}")
     for delta in deltas:
         try:
@@ -232,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="scaled window: 5^e * lifetime / (5m), rounded")
     enum.add_argument("--k", type=int, required=True,
                       help="allowed non-neighbors per vertex (incl. itself)")
-    enum.add_argument("--pivoting", action="store_true")
     enum.add_argument("--connected", action="store_true",
                       help="only plexes of order >= 2k+1, pruning aggressively")
     enum.add_argument("--time-limit", type=float, default=None,

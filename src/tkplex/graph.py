@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -58,15 +58,14 @@ class TemporalGraph:
 def parse_edge_list(
     text: str,
     column_spec: tuple[int, int, int] = (0, 1, 2),
-    dedupe: bool = True,
     on_self_loop: str = "error",
 ) -> TemporalGraph:
     """Build a graph from whitespace-separated edge lines.
 
     ``column_spec`` gives the (timestamp, vertex, vertex) column indices;
     extra columns are ignored and '#' lines are comments.  Timestamps are
-    shifted so the smallest maps to 1.  Self-loops are rejected unless
-    ``on_self_loop`` is "skip".
+    shifted so the smallest maps to 1, and repeated contacts collapse into
+    one.  Self-loops are rejected unless ``on_self_loop`` is "skip".
     """
     if on_self_loop not in ("error", "skip"):
         raise ValueError(f"unknown self-loop policy {on_self_loop!r}")
@@ -106,13 +105,9 @@ def parse_edge_list(
     labels = tuple(sorted({name for _, a, b in raw for name in (a, b)}))
     index = {name: i for i, name in enumerate(labels)}
     shift = min(t for t, _, _ in raw) - 1
-    edges_iter = (
-        (t - shift, *sorted((index[a], index[b]))) for t, a, b in raw
-    )
-    edges = set(edges_iter) if dedupe else list(edges_iter)
-    sorted_edges = tuple(sorted(edges))
-    if not dedupe and len(set(sorted_edges)) != len(sorted_edges):
-        raise EdgeListParseError("duplicate time-stamped edges with dedupe off")
+    sorted_edges = tuple(sorted(
+        {(t - shift, *sorted((index[a], index[b]))) for t, a, b in raw}
+    ))
     lifetime = max(t for t, _, _ in sorted_edges)
     return TemporalGraph(labels, sorted_edges, lifetime)
 
@@ -168,6 +163,21 @@ def frames_covered(t: int, fd: FrameDomain) -> Interval:
     return Interval(max(1, t - fd.delta), min(fd.last_frame, t))
 
 
+def segment_starts(graph: TemporalGraph, fd: FrameDomain) -> list[int]:
+    """First frame of each segment, ascending.
+
+    The frames are cut at 1, at max(1, t - delta) and at t + 1 for every
+    contact t, so no window's edge set changes inside a segment.
+    """
+    delta, last = fd.delta, fd.last_frame
+    cuts = {1}
+    for t, _, _ in graph.edges:
+        cuts.add(max(1, t - delta))
+        if t < last:
+            cuts.add(t + 1)
+    return sorted(cuts)
+
+
 class _Frames(int):
     """A segment bitset whose ``len()`` is its number of maximal runs."""
 
@@ -180,26 +190,21 @@ class _Frames(int):
 class NonNeighborhoodIndex:
     """Per-pair frame sets where two vertices share no edge in the window.
 
-    A frame set is an ``int`` bitset whose bit i stands for segment i: the
-    frames are cut at 1, at max(1, t - delta) and at t + 1 for every contact
-    t, so no pair's adjacency changes inside a segment, and there are at
-    most 2m + 1 segments however long the lifetime.  Pairs that never share
-    an edge are kept implicit (full domain), as is the self-entry of every
-    vertex.  This is the library's one grouping of edges by vertex pair;
-    the oracle and the invariant monitor keep their own on purpose.
+    A frame set is an ``int`` bitset whose bit i stands for segment i (see
+    ``segment_starts``), so there are at most 2m + 1 bits however long the
+    lifetime.  Pairs that never share an edge are kept implicit (full
+    domain), as is the self-entry of every vertex.  This is the library's
+    one grouping of edges by vertex pair; the oracle and the invariant
+    monitor keep their own on purpose.
     """
 
     def __init__(self, graph: TemporalGraph, fd: FrameDomain):
         self.frame_domain = fd
         delta, last = fd.delta, fd.last_frame
-        cuts = {1}
         by_pair: dict[tuple[int, int], list[int]] = {}
         for t, u, v in graph.edges:  # edges sorted by t
-            cuts.add(max(1, t - delta))
-            if t < last:
-                cuts.add(t + 1)
             by_pair.setdefault((u, v), []).append(t)
-        self._starts = sorted(cuts)  # first frame of each segment
+        self._starts = segment_starts(graph, fd)
         segment = {frame: i for i, frame in enumerate(self._starts)}
         n = len(self._starts)
         self.full = (1 << n) - 1
@@ -270,32 +275,15 @@ def _bucket_degeneracy(adjacency: dict[int, set[int]]) -> int:
 def delta_slice_degeneracy(graph: TemporalGraph, fd: FrameDomain) -> int:
     """Maximum static degeneracy over all frame snapshot graphs.
 
-    Frame edge sets are gathered with a sliding window over the sorted edge
-    list; each frame is then peeled independently.
+    All frames of a segment share one snapshot: for the segment starting at
+    frame i, the edges with t in [i, i + delta].  Each is peeled on its own.
     """
-    window: dict[tuple[int, int], int] = {}
-    edges = graph.edges
-    n_edges = len(edges)
-    add_ptr = 0
-    remove_ptr = 0
+    times = [t for t, _, _ in graph.edges]
     best = 0
-    for i in range(1, fd.last_frame + 1):
-        while add_ptr < n_edges and edges[add_ptr][0] <= i + fd.delta:
-            t, u, v = edges[add_ptr]
-            if t >= i:
-                window[(u, v)] = window.get((u, v), 0) + 1
-            add_ptr += 1
-        while remove_ptr < n_edges and edges[remove_ptr][0] < i:
-            t, u, v = edges[remove_ptr]
-            count = window.get((u, v))
-            if count is not None:
-                if count == 1:
-                    del window[(u, v)]
-                else:
-                    window[(u, v)] = count - 1
-            remove_ptr += 1
+    for i in segment_starts(graph, fd):
+        lo, hi = bisect_left(times, i), bisect_right(times, i + fd.delta)
         adjacency: dict[int, set[int]] = {}
-        for u, v in window:
+        for _, u, v in graph.edges[lo:hi]:
             adjacency.setdefault(u, set()).add(v)
             adjacency.setdefault(v, set()).add(u)
         best = max(best, _bucket_degeneracy(adjacency))

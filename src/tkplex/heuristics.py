@@ -1,6 +1,6 @@
-"""Optional search accelerations: pivot suppression and the connectedness
-candidate filter.  Both are pure decision functions; the enumerator applies
-their verdicts without mutating its candidate sets."""
+"""Search pruning: pivot suppression, applied in every call, and the optional
+connectedness candidate filter.  Both are pure decision functions; the
+enumerator applies their verdicts without mutating its candidate sets."""
 
 from __future__ import annotations
 
@@ -38,6 +38,10 @@ def select_pivot(
     members = tuple(members)
     best: tuple[int, frozenset[int]] | None = None
     for p in sorted(entries):
+        # an eligible pivot extends the plex on every lifetime frame, so its
+        # entry is exactly the lifetimes: any other entry fails the check below
+        if entries[p] != lifetimes:
+            continue
         if any(lifetimes & index.nonneighbor_frames(p, c) for c in members):
             continue
         suppressed = frozenset(

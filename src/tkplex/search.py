@@ -26,7 +26,6 @@ class SearchConfig:
 
     delta: int
     k: int
-    pivoting: bool = False
     connectedness: bool = False
     time_limit: float | None = None
 
@@ -181,8 +180,9 @@ def enumerate_maximal_plexes(
 ) -> RunStats:
     """Run the full recursion and stream every maximal plex to ``sink``.
 
-    Honors the pivoting and connectedness switches of ``config``; a time
-    limit stops the search with partial output and ``timed_out`` set.
+    Every call with candidates pivots; ``config`` may switch on the
+    connectedness filter, and a time limit stops the search with partial
+    output and ``timed_out`` set.
     """
     started = time.monotonic()
     fd = FrameDomain.for_graph(graph, config.delta)
@@ -225,11 +225,8 @@ def enumerate_maximal_plexes(
             )
             if not eligible:
                 return
-        suppressed: frozenset[int] = frozenset()
-        if config.pivoting:
-            choice = select_pivot(members, lifetimes, candidates, excluded, index)
-            if choice is not None:
-                suppressed = choice.suppressed
+        choice = select_pivot(members, lifetimes, candidates, excluded, index)
+        suppressed = frozenset() if choice is None else choice.suppressed
         remaining = dict(candidates)
         tried = dict(excluded)
         for v in sorted(candidates):

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 
@@ -39,6 +40,11 @@ def frame_bits(index: NonNeighborhoodIndex, *pairs: tuple[int, int]) -> int:
 def frame_set(index: NonNeighborhoodIndex, bits: int) -> IntervalSet:
     """The frame intervals of a segment bitset."""
     return IntervalSet(iv for _, iv in index.runs(bits))
+
+
+def unpivoted():
+    """Patch the search's pivot out: the unpivoted reference run."""
+    return mock.patch("tkplex.search.select_pivot", return_value=None)
 
 
 def random_temporal_graph(

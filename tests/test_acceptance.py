@@ -8,6 +8,7 @@ criteria that consume it.
 import math
 import random
 import time
+from contextlib import nullcontext
 from itertools import combinations
 
 import pytest
@@ -29,6 +30,7 @@ from conftest import (
     scale_graph,
     static_maximal_kplexes,
     sweep_corpus,
+    unpivoted,
 )
 from tkplex.graph import parse_edge_list
 
@@ -45,6 +47,11 @@ FLAG_COMBOS = tuple(
 def report(criterion: str, ok: bool, detail: str = "") -> None:
     print(f"\n[{'PASS' if ok else 'FAIL'}] {criterion}")
     assert ok, f"{criterion}: {detail}"
+
+
+def pivot_mode(pivoting: bool):
+    """The search as it is, or with its pivot patched out."""
+    return nullcontext() if pivoting else unpivoted()
 
 
 @pytest.fixture(scope="module")
@@ -65,14 +72,14 @@ def sweep():
                 violations = []
                 for pivoting, connectedness in FLAG_COMBOS:
                     config = SearchConfig(
-                        delta=delta, k=k,
-                        pivoting=pivoting, connectedness=connectedness,
+                        delta=delta, k=k, connectedness=connectedness
                     )
                     monitor = InvariantMonitor(graph, delta, k)
                     try:
-                        records, stats = collect_maximal_plexes(
-                            graph, config, monitor=monitor
-                        )
+                        with pivot_mode(pivoting):
+                            records, stats = collect_maximal_plexes(
+                                graph, config, monitor=monitor
+                            )
                     except InvariantViolation as exc:
                         violations.append(
                             f"{graph.labels} delta={delta} k={k} "
@@ -298,9 +305,8 @@ def test_criterion_9_scale_smoke():
     started = time.monotonic()
     counts = {}
     for pivoting in (False, True):
-        stats = enumerate_maximal_plexes(
-            graph, SearchConfig(delta=0, k=1, pivoting=pivoting)
-        )
+        with pivot_mode(pivoting):
+            stats = enumerate_maximal_plexes(graph, SearchConfig(delta=0, k=1))
         counts[pivoting] = stats.plex_count
     elapsed = time.monotonic() - started
     ok = counts[False] == counts[True] and elapsed < 300.0

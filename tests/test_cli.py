@@ -100,6 +100,15 @@ class TestEnumerateCommand:
         assert code == EXIT_PARAMETER
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_negative_column_rejected(self, fig1_file, capsys):
+        code = main(
+            ["enumerate", str(fig1_file), "--columns", "0,1,-5",
+             "--delta", "1", "--k", "2"]
+        )
+        assert code == EXIT_PARAMETER
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     @pytest.mark.parametrize("flag", ["--output", "--stats"])
     def test_unwritable_path_fails_before_search(
         self, fig1_file, tmp_path, monkeypatch, capsys, flag
@@ -125,6 +134,20 @@ class TestEnumerateCommand:
         assert scaled_delta(1, 6, 7) == 1
         assert scaled_delta(3, 100, 10) == 250
         assert scaled_delta(-2, 6, 7) == 0
+        assert scaled_delta(1, 5, 2) == 2  # 2.5 rounds half to even
+        assert scaled_delta(1, 7, 2) == 4  # 3.5 too
+        assert scaled_delta(1, 45, 7) == 6  # 6.43 to nearest
+        assert scaled_delta(1000, 6, 7) > 10**600  # exact, no float overflow
+
+    @pytest.mark.parametrize("command,extra", [
+        ("enumerate", ["--k", "1"]),
+        ("degeneracy", []),
+    ])
+    def test_huge_delta_exp_rejected(self, fig1_file, capsys, command, extra):
+        code = main([command, str(fig1_file), "--delta-exp", "1000000", *extra])
+        assert code == EXIT_PARAMETER
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "too large for lifetime" in err[0]
 
     def test_delta_exp_flag(self, fig1_file, tmp_path):
         out = tmp_path / "records.txt"
@@ -160,6 +183,13 @@ class TestDegeneracyCommand:
     def test_delta_too_large(self, fig1_file):
         code = main(["degeneracy", str(fig1_file), "--delta", "6"])
         assert code == EXIT_PARAMETER
+
+    def test_long_sparse_lifetime(self, tmp_path, capsys):
+        path = tmp_path / "sparse.txt"
+        path.write_text("1 a b\n2 b c\n1000000000 a c\n")
+        code = main(["degeneracy", str(path), "--delta", "0"])
+        assert code == EXIT_OK
+        assert "delta=0 slice_degeneracy=1" in capsys.readouterr().out.splitlines()
 
 
 class TestOracleCommand:

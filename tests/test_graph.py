@@ -40,10 +40,6 @@ class TestParseEdgeList:
         graph = parse_edge_list(fig1_text + "2 a b\n")
         assert graph.edge_count == 7
 
-    def test_duplicates_rejected_with_dedupe_off(self, fig1_text):
-        with pytest.raises(EdgeListParseError, match="duplicate"):
-            parse_edge_list(fig1_text + "2 a b\n", dedupe=False)
-
     def test_malformed_line_reports_number(self):
         with pytest.raises(EdgeListParseError, match="line 2"):
             parse_edge_list("1 a b\n2 a\n")
@@ -204,6 +200,11 @@ class TestDegeneracy:
                 for d in range(graph.lifetime)
             ]
             assert values == sorted(values)
+
+    def test_long_sparse_lifetime(self):
+        # one peel per segment, not per frame: three contacts over 10^9 steps
+        graph = parse_edge_list("1 a b\n2 b c\n1000000000 a c\n")
+        assert delta_slice_degeneracy(graph, FrameDomain.for_graph(graph, 0)) == 1
 
 
 class TestPlexCountUpperBound:

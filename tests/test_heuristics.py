@@ -4,7 +4,7 @@ from tkplex.graph import FrameDomain, NonNeighborhoodIndex, TemporalGraph
 from tkplex.heuristics import connected_candidates, select_pivot
 from tkplex.search import SearchConfig, collect_maximal_plexes
 
-from conftest import frame_bits, random_temporal_graph
+from conftest import frame_bits, random_temporal_graph, unpivoted
 
 
 def complete_temporal_graph(n: int, omega: int) -> TemporalGraph:
@@ -65,6 +65,19 @@ class TestSelectPivot:
         assert choice.pivot == 0
         assert choice.suppressed == frozenset({1, 2})
 
+    def test_entry_short_of_the_lifetimes_never_pivots(self):
+        # 0 is adjacent to everything in every frame, but its entry holds
+        # only part of the lifetimes, so it cannot pivot
+        graph = complete_temporal_graph(3, 3)
+        index = NonNeighborhoodIndex(graph, FrameDomain.for_graph(graph, 0))
+        full = index.full
+        part = frame_bits(index, (1, 2))
+        for excluded in ({}, {2: full}):
+            choice = select_pivot((), full, {0: part, 1: full}, excluded, index)
+            assert choice is not None
+            assert choice.pivot != 0
+        assert select_pivot((), full, {0: part}, {}, index) is None
+
 
 class TestConnectedCandidates:
     def test_fixture_both_candidates_connect(self, fig1_graph):
@@ -105,12 +118,10 @@ class TestHeuristicInvariance:
                 if graph.lifetime - delta < 1:
                     continue
                 for k in (1, 2):
-                    plain, plain_stats = collect_maximal_plexes(
-                        graph, SearchConfig(delta=delta, k=k)
-                    )
-                    pivoted, pivot_stats = collect_maximal_plexes(
-                        graph, SearchConfig(delta=delta, k=k, pivoting=True)
-                    )
+                    config = SearchConfig(delta=delta, k=k)
+                    with unpivoted():
+                        plain, plain_stats = collect_maximal_plexes(graph, config)
+                    pivoted, pivot_stats = collect_maximal_plexes(graph, config)
                     assert set(pivoted) == set(plain)
                     assert pivot_stats.recursive_calls <= plain_stats.recursive_calls
 

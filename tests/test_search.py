@@ -5,7 +5,12 @@ import tracemalloc
 
 import pytest
 
-from tkplex.graph import FrameDomain, NonNeighborhoodIndex, parse_edge_list
+from tkplex.graph import (
+    FrameDomain,
+    NonNeighborhoodIndex,
+    TemporalGraph,
+    parse_edge_list,
+)
 from tkplex.intervals import Interval, IntervalSet
 from tkplex.oracle import enumerate_all_maximal
 from tkplex.pool import Pool
@@ -215,6 +220,19 @@ class TestEnumerate:
             fig1_graph, SearchConfig(delta=1, k=1), sink=seen.append
         )
         assert len(seen) == stats.plex_count
+
+    def test_dense_clique_takes_one_call_per_vertex(self):
+        # the pivot leaves one branch per call: 17 calls, not the 2^16 of a
+        # search that walks each subset of the clique
+        n = 16
+        graph = TemporalGraph(
+            tuple(f"v{i:02d}" for i in range(n)),
+            tuple((1, u, v) for u in range(n) for v in range(u + 1, n)),
+            1,
+        )
+        records, stats = collect_maximal_plexes(graph, SearchConfig(delta=0, k=1))
+        assert records == [PlexRecord(tuple(range(n)), Interval(1, 1))]
+        assert stats.recursive_calls <= n + 1
 
     def test_long_sparse_lifetime(self):
         # six contacts over a lifetime of 10^9 steps: the search works on
