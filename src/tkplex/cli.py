@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from contextlib import ExitStack
 from pathlib import Path
 from typing import TextIO
 
-from . import oracle as oracle_mod
 from .graph import (
     EdgeListParseError,
     FrameDomain,
@@ -106,7 +106,9 @@ def _open_for_writing(path: str | None, files: ExitStack) -> TextIO | None:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    started = time.monotonic()
     graph = _load_graph(args)
+    parse_seconds = time.monotonic() - started
     delta = _resolve_delta(args, graph)
     try:
         config = SearchConfig(
@@ -142,6 +144,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             "max_lifetime_length": stats.max_lifetime_length,
             "recursive_calls": stats.recursive_calls,
             "wall_seconds": round(stats.wall_time_seconds, 3),
+            "parse_seconds": round(parse_seconds, 3),
+            "index_seconds": round(stats.index_seconds, 3),
+            "search_seconds": round(stats.search_seconds, 3),
             "timed_out": stats.timed_out,
         }
         if args.with_degeneracy:
@@ -165,7 +170,9 @@ def cmd_degeneracy(args: argparse.Namespace) -> int:
     deltas = list(args.delta or [])
     for exponent in args.delta_exp or []:
         deltas.append(_delta_from_exponent(exponent, graph))
-    print(f"static_degeneracy={oracle_mod.static_degeneracy(graph.union_adjacency())}")
+    # the widest window holds every edge: its one snapshot is the static graph
+    widest = FrameDomain.for_graph(graph, graph.lifetime - 1)
+    print(f"static_degeneracy={delta_slice_degeneracy(graph, widest)}")
     for delta in deltas:
         try:
             fd = FrameDomain.for_graph(graph, delta)
@@ -195,9 +202,12 @@ def _parse_record_file(path: str) -> set[tuple[tuple[str, ...], int, int]]:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    # the brute-force oracle is independent evidence: only this command loads it
+    from .oracle import enumerate_all_maximal
+
     graph = _load_graph(args)
     try:
-        truth = oracle_mod.enumerate_all_maximal(graph, args.delta, args.k)
+        truth = enumerate_all_maximal(graph, args.delta, args.k)
     except ValueError as exc:
         raise _CliError(str(exc), EXIT_PARAMETER) from exc
     expected = {

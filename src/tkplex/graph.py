@@ -193,9 +193,11 @@ class NonNeighborhoodIndex:
     A frame set is an ``int`` bitset whose bit i stands for segment i (see
     ``segment_starts``), so there are at most 2m + 1 bits however long the
     lifetime.  Pairs that never share an edge are kept implicit (full
-    domain), as is the self-entry of every vertex.  This is the library's
-    one grouping of edges by vertex pair; the oracle and the invariant
-    monitor keep their own on purpose.
+    domain).  ``rows[v]`` maps each w that shares an edge with v to the
+    pair's bitset, and v itself to ``full``, so a lookup is
+    ``rows[v].get(w, full)``.  This is the library's one grouping of edges
+    by vertex pair; the oracle and the invariant monitor keep their own on
+    purpose.
     """
 
     def __init__(self, graph: TemporalGraph, fd: FrameDomain):
@@ -219,13 +221,11 @@ class NonNeighborhoodIndex:
                 hi = segment[t + 1] if t < last else n
             neighbor |= (1 << hi) - (1 << lo)
             self._pairs[pair] = _Frames(self.full ^ neighbor)
-
-    def nonneighbor_frames(self, u: int, v: int) -> int:
-        """Segments where u and v are non-neighbors (all of them for u == v)."""
-        if u == v:
-            return self.full
-        key = (u, v) if u < v else (v, u)
-        return self._pairs.get(key, self.full)
+        self.rows: list[dict[int, int]] = [
+            {v: self.full} for v in range(graph.vertex_count)
+        ]
+        for (u, v), frames in self._pairs.items():
+            self.rows[u][v] = self.rows[v][u] = frames
 
     def runs(self, frames: int) -> Iterator[tuple[int, Interval]]:
         """Each maximal run of ``frames``: its segment mask and frame interval."""

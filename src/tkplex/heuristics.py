@@ -32,25 +32,39 @@ def select_pivot(
     suppressed when it is adjacent to the pivot throughout the candidate's
     frame set.  Ties break toward the smallest vertex index; returns None
     when no vertex is eligible.
+
+    The scan stops once no later vertex can suppress more: a candidate
+    pivot suppresses at most |candidates| - 1 vertices and an excluded one
+    at most |candidates|.
     """
     entries = dict(excluded)
     entries.update(candidates)
     members = tuple(members)
+    rows, full = index.rows, index.full
+    # the last excluded vertex that could pivot: from it on, no later vertex
+    # can beat a suppressed set of |candidates| - 1
+    last_excluded = max(
+        (p for p, ip in excluded.items() if ip == lifetimes), default=-1
+    )
     best: tuple[int, frozenset[int]] | None = None
     for p in sorted(entries):
         # an eligible pivot extends the plex on every lifetime frame, so its
         # entry is exactly the lifetimes: any other entry fails the check below
         if entries[p] != lifetimes:
             continue
-        if any(lifetimes & index.nonneighbor_frames(p, c) for c in members):
+        row = rows[p]
+        if any(lifetimes & row.get(c, full) for c in members):
             continue
         suppressed = frozenset(
             w
             for w, iw in candidates.items()
-            if w != p and not iw & index.nonneighbor_frames(p, w)
+            if w != p and not iw & row.get(w, full)
         )
         if best is None or len(suppressed) > len(best[1]):
             best = (p, suppressed)
+            bound = len(candidates) - (p >= last_excluded)
+            if len(suppressed) >= bound:
+                break
     return None if best is None else PivotChoice(*best)
 
 
@@ -68,11 +82,13 @@ def connected_candidates(
     members = tuple(members)
     if not members:
         return dict(candidates)
+    rows, full = index.rows, index.full
     out: PairSet = {}
     for w, iw in candidates.items():
         window = iw & lifetimes
         if not window:
             continue
-        if any(window & ~index.nonneighbor_frames(w, c) for c in members):
+        row = rows[w]
+        if any(window & ~row.get(c, full) for c in members):
             out[w] = iw
     return out

@@ -2,7 +2,9 @@
 
 A pair set is a plain ``dict[int, int]`` from a vertex to a segment bitset
 (see ``NonNeighborhoodIndex``); empty sets are never stored.  ``merge_pair``
-returns a new dict and never mutates its argument.
+returns a new dict and never mutates its argument.  The search no longer
+calls it; the benchmark's tracer (``perfbench/layers.py``) still wraps it
+by name.
 """
 
 from __future__ import annotations

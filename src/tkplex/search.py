@@ -16,7 +16,7 @@ from typing import Callable, Protocol
 from .graph import FrameDomain, NonNeighborhoodIndex, TemporalGraph
 from .heuristics import connected_candidates, select_pivot
 from .intervals import Interval, IntervalSet
-from .pairset import PairSet, merge_pair
+from .pairset import PairSet
 from .pool import Pool
 
 
@@ -55,7 +55,9 @@ class RunStats:
     max_plex_order: int = 0
     max_lifetime_length: int = 0
     recursive_calls: int = 0
-    wall_time_seconds: float = 0.0
+    wall_time_seconds: float = 0.0  # frame domain, index and search
+    index_seconds: float = 0.0
+    search_seconds: float = 0.0
     timed_out: bool = False
 
 
@@ -95,21 +97,27 @@ def update_pool(
 
     Returns the successor pool plus the critical pairs: every (vertex,
     frames) whose non-neighbor count inside the grown set reaches exactly k.
+    ``members`` holds the new vertex v; an entry for v in ``candidates`` or
+    ``excluded`` is ignored.
     """
     v, iv = pair
-    tracked = dict(candidates)
-    tracked.update(excluded)
-    for c in members:
-        tracked[c] = iv
+    row, full = index.rows[v], index.full
     new_pool = pool.copy()
+    increment = new_pool.increment
     critical: PairSet = {}
-    for w, iw in tracked.items():
-        frames = iw & index.nonneighbor_frames(v, w)
-        if not frames:
-            continue
-        hits = new_pool.increment(w, frames, critical_at=k)
-        if hits:
-            critical = merge_pair(w, hits, critical)
+    for entries in (candidates.items(), excluded.items()):
+        for w, iw in entries:
+            frames = iw & row.get(w, full)
+            if frames and w != v:
+                hits = increment(w, frames, critical_at=k)
+                if hits:
+                    critical[w] = hits
+    for w in members:  # every member is tracked on the new vertex's frames
+        frames = iv & row.get(w, full)
+        if frames:
+            hits = increment(w, frames, critical_at=k)
+            if hits:
+                critical[w] = hits
     return new_pool, critical
 
 
@@ -128,20 +136,20 @@ def update_candidates(
     itself) is a non-neighbor.
     """
     v, iv = pair
+    rows, full = index.rows, index.full
+    blockers = [(critical[u], rows[u]) for u in members if u in critical]
     out: PairSet = {}
     for w, iw in source.items():
         if w == v:
             continue
         iw &= iv
-        if not iw:
-            continue
-        for u in (*members, w):
-            blocked = critical.get(u)
-            if blocked is None:
-                continue
-            iw &= ~(blocked & index.nonneighbor_frames(u, w))
+        own = critical.get(w)
+        if iw and own:  # its self-row is full: its own critical frames block it
+            iw &= ~own
+        for blocked, row in blockers:
             if not iw:
                 break
+            iw &= ~(blocked & row.get(w, full))
         if iw:
             out[w] = iw
     return out
@@ -186,8 +194,10 @@ def enumerate_maximal_plexes(
     """
     started = time.monotonic()
     fd = FrameDomain.for_graph(graph, config.delta)
+    index_started = time.monotonic()
     index = NonNeighborhoodIndex(graph, fd)
-    stats = RunStats()
+    search_started = time.monotonic()
+    stats = RunStats(index_seconds=search_started - index_started)
     deadline = None if config.time_limit is None else started + config.time_limit
     k = config.k
 
@@ -255,7 +265,9 @@ def enumerate_maximal_plexes(
         recurse(root_candidates, (), full, {}, Pool(full.bit_length()))
     except _TimeLimitReached:
         stats.timed_out = True
-    stats.wall_time_seconds = time.monotonic() - started
+    finished = time.monotonic()
+    stats.search_seconds = finished - search_started
+    stats.wall_time_seconds = finished - started
     return stats
 
 

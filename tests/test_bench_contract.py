@@ -4,9 +4,12 @@ The benchmark's tracer (perfbench/layers.py) wraps library functions by
 name.  It quietly drops the metrics of a target that is gone or whose
 arguments no longer fit, and the benchmark's own test only checks that the
 reported names are known ones.  These tests pin the full set, so a change
-that loses a metric fails here.
+that loses a metric fails here.  They also pin the output and the counts of
+the benchmark's workloads, which do not depend on the machine: a change in
+them is a change in behaviour, not in speed.
 """
 
+import hashlib
 import random
 import sys
 from pathlib import Path
@@ -16,7 +19,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from layers import LAYER_METRICS, Tracer  # noqa: E402
-from workloads import uniform_contacts  # noqa: E402
+from workloads import WORKLOADS, uniform_contacts  # noqa: E402
 
 from tkplex import cli  # noqa: E402
 from tkplex.graph import parse_edge_list  # noqa: E402
@@ -65,3 +68,37 @@ def test_traced_run_reports_every_layer_metric(tmp_path, capsys, extra):
     # the search keeps its frame sets as bitsets, off the interval algebra
     for op in ("intersect", "minus", "canonicalize"):
         assert metrics[f"intervals.{op}_calls"] == 0
+
+
+# (recursive_calls, plex_count, sha256 of the output file) at seed 1
+WORKLOAD_PINS = {
+    "clique-long": (
+        822, 6036,
+        "836d487e6ee667e9bb22bbe69310f6a062769b429c55acc884881e565ec8b3c1",
+    ),
+    "plex-window": (
+        3601, 5910,
+        "42ddcceeafdca8fe095f7bb2f80eca5e59f94d6ea1b3cf83756d5c8629228146",
+    ),
+    "community-connected": (
+        1357, 4,
+        "cddc2238505a94bb31b0cfeeb54d6b89c49fe072a297c6edc21f4b8645c53986",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_PINS))
+def test_workload_output_and_counts_are_pinned(tmp_path, name):
+    workload = WORKLOADS[name]
+    edges, out, stats_path = (tmp_path / f for f in ("edges.txt", "out.txt", "stats.txt"))
+    edges.write_text(workload.generate(1).edge_list_text())
+    code = cli.main(
+        ["enumerate", str(edges), *workload.enumerate_args(),
+         "--output", str(out), "--stats", str(stats_path)]
+    )
+    assert code == 0
+    stats = dict(line.split("=", 1) for line in stats_path.read_text().splitlines())
+    calls, plexes, digest = WORKLOAD_PINS[name]
+    assert int(stats["recursive_calls"]) == calls
+    assert int(stats["plex_count"]) == plexes
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

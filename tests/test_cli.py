@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from tkplex.cli import (
@@ -47,7 +52,7 @@ class TestEnumerateCommand:
         _, second = run_enumerate(fig1_file, tmp_path)
         assert second.read_text() == text
 
-    def test_stats_file_matches_output(self, fig1_file, tmp_path):
+    def test_stats_file_matches_output(self, fig1_file, tmp_path, capsys):
         stats_path = tmp_path / "stats.txt"
         code, out = run_enumerate(fig1_file, tmp_path, "--stats", str(stats_path))
         assert code == EXIT_OK
@@ -60,6 +65,11 @@ class TestEnumerateCommand:
         assert stats["omega"] == "6"
         assert stats["delta"] == "1"
         assert stats["timed_out"] == "False"
+        table = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
+        for key in ("recursive_calls", "wall_seconds", "parse_seconds",
+                    "index_seconds", "search_seconds"):
+            assert float(stats[key]) >= 0
+            assert key in table
 
     def test_with_degeneracy_report(self, fig1_file, tmp_path, capsys):
         code, _ = run_enumerate(fig1_file, tmp_path, "--with-degeneracy")
@@ -179,6 +189,25 @@ class TestDegeneracyCommand:
         assert "delta=1 slice_degeneracy=2" in lines
         # at delta = lifetime - 1 the single frame is the union graph
         assert "delta=5 slice_degeneracy=2" in lines
+
+    def test_commands_other_than_oracle_never_load_it(self, fig1_file):
+        # the oracle is independent evidence, so the library's own commands
+        # must not compute anything with it
+        script = (
+            "import sys, tkplex.cli\n"
+            "path = sys.argv[1]\n"
+            "tkplex.cli.main(['enumerate', path, '--delta', '1', '--k', '2'])\n"
+            "tkplex.cli.main(['degeneracy', path, '--delta', '1'])\n"
+            "sys.exit('tkplex.oracle' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(fig1_file)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "static_degeneracy=2" in done.stdout.splitlines()
 
     def test_delta_too_large(self, fig1_file):
         code = main(["degeneracy", str(fig1_file), "--delta", "6"])

@@ -119,43 +119,48 @@ class TestNonNeighborhoodIndex:
             fig1_graph, FrameDomain.for_graph(fig1_graph, 1)
         )
         a, b, c = 0, 1, 2
-        assert str(frame_set(index, index.nonneighbor_frames(a, b))) == "{[3,4]}"
-        assert str(frame_set(index, index.nonneighbor_frames(a, c))) == "{[1,2]}"
-        assert str(frame_set(index, index.nonneighbor_frames(a, a))) == "{[1,5]}"
+        assert str(frame_set(index, index.rows[a][b])) == "{[3,4]}"
+        assert str(frame_set(index, index.rows[a][c])) == "{[1,2]}"
+        assert str(frame_set(index, index.rows[a][a])) == "{[1,5]}"
+        assert index.rows[a][a] == index.full
 
     def test_symmetric(self, fig1_graph):
         index = NonNeighborhoodIndex(
             fig1_graph, FrameDomain.for_graph(fig1_graph, 1)
         )
-        assert index.nonneighbor_frames(1, 0) == index.nonneighbor_frames(0, 1)
+        assert index.rows[1][0] == index.rows[0][1]
 
     def test_edgeless_pair_is_full_domain(self):
         graph = TemporalGraph(("a", "b", "c"), ((1, 0, 1),), 4)
         index = NonNeighborhoodIndex(graph, FrameDomain.for_graph(graph, 0))
-        assert frame_set(index, index.nonneighbor_frames(0, 2)) == IntervalSet([(1, 4)])
+        assert 2 not in index.rows[0]
+        got = index.rows[0].get(2, index.full)
+        assert frame_set(index, got) == IntervalSet([(1, 4)])
 
     def test_segments_do_not_grow_with_lifetime(self):
         graph = parse_edge_list("1 a b\n7 b c\n1000000000 a b\n")
         index = NonNeighborhoodIndex(graph, FrameDomain.for_graph(graph, 2))
         assert index.full.bit_length() <= 2 * graph.edge_count + 1
-        assert frame_set(index, index.nonneighbor_frames(0, 1)) == IntervalSet(
+        assert frame_set(index, index.rows[0][1]) == IntervalSet(
             [(2, 999999997)]
         )
-        assert len(index.nonneighbor_frames(0, 1)) == 1
+        assert len(index.rows[0][1]) == 1
 
     @pytest.mark.parametrize("delta", [0, 1, 2])
     def test_matches_naive_window_scan(self, delta):
+        # every ordered pair, including a vertex with itself: a vertex is
+        # its own non-neighbor on every frame
         rng = random.Random(42 + delta)
         for _ in range(25):
             graph = random_temporal_graph(rng, rng.randint(2, 6), 7, 0.25)
             fd = FrameDomain.for_graph(graph, delta)
             index = NonNeighborhoodIndex(graph, fd)
             for u in range(graph.vertex_count):
-                for v in range(u + 1, graph.vertex_count):
-                    times = [t for t, a, b in graph.edges if (a, b) == (u, v)]
-                    got = frame_set(index, index.nonneighbor_frames(u, v))
+                for v in range(graph.vertex_count):
+                    times = [t for t, a, b in graph.edges if {a, b} == {u, v}]
+                    got = frame_set(index, index.rows[u].get(v, index.full))
                     for i in range(1, fd.last_frame + 1):
-                        naive = not any(i <= t <= i + delta for t in times)
+                        naive = u == v or not any(i <= t <= i + delta for t in times)
                         assert got.covers(Interval(i, i)) == naive
 
     @pytest.mark.parametrize("delta", [0, 1, 2])
@@ -172,7 +177,7 @@ class TestNonNeighborhoodIndex:
                         for t, a, b in graph.edges
                         if (a, b) == (u, v)
                     )
-                    neighbor = index.full & ~index.nonneighbor_frames(u, v)
+                    neighbor = index.full & ~index.rows[u].get(v, index.full)
                     assert frame_set(index, neighbor) == covered
 
 

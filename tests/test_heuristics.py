@@ -1,7 +1,7 @@
 import random
 
 from tkplex.graph import FrameDomain, NonNeighborhoodIndex, TemporalGraph
-from tkplex.heuristics import connected_candidates, select_pivot
+from tkplex.heuristics import PivotChoice, connected_candidates, select_pivot
 from tkplex.search import SearchConfig, collect_maximal_plexes
 
 from conftest import frame_bits, random_temporal_graph, unpivoted
@@ -77,6 +77,62 @@ class TestSelectPivot:
             assert choice is not None
             assert choice.pivot != 0
         assert select_pivot((), full, {0: part}, {}, index) is None
+
+    def test_later_excluded_vertex_beats_a_full_candidate_pivot(self):
+        # candidate 0 suppresses the one other candidate, |candidates| - 1;
+        # excluded 2 suppresses both, so the scan must not stop at 0
+        graph = complete_temporal_graph(3, 1)
+        index = NonNeighborhoodIndex(graph, FrameDomain.for_graph(graph, 0))
+        full = index.full
+        choice = select_pivot((), full, {0: full, 1: full}, {2: full}, index)
+        assert choice == full_scan_pivot((), full, {0: full, 1: full}, {2: full}, index)
+        assert choice.pivot == 2
+        assert choice.suppressed == frozenset({0, 1})
+
+    def test_matches_full_scan_on_random_inputs(self):
+        rng = random.Random(11)
+        stopped_early = 0
+        for _ in range(600):
+            graph = random_temporal_graph(
+                rng, rng.randint(2, 8), rng.randint(1, 4), rng.choice([0.5, 0.8, 0.95])
+            )
+            index = NonNeighborhoodIndex(
+                graph, FrameDomain.for_graph(graph, rng.randint(0, graph.lifetime - 1))
+            )
+            lifetimes = rng.randint(1, index.full)
+            vertices = list(range(graph.vertex_count))
+            rng.shuffle(vertices)
+            members = tuple(vertices[: rng.choice([0, 0, 1, 2])])
+            candidates, excluded = {}, {}
+            for w in vertices[len(members):]:
+                entry = lifetimes
+                if rng.random() < 0.3:
+                    entry = lifetimes & rng.randint(1, index.full) or lifetimes
+                (candidates if rng.random() < 0.7 else excluded)[w] = entry
+            want = full_scan_pivot(members, lifetimes, candidates, excluded, index)
+            assert select_pivot(members, lifetimes, candidates, excluded, index) == want
+            if want is not None and len(want.suppressed) >= len(candidates) - 1:
+                stopped_early += 1
+        assert stopped_early >= 100  # the early exit is exercised
+
+
+def full_scan_pivot(members, lifetimes, candidates, excluded, index):
+    """Reference: score every eligible vertex, keep the first largest set."""
+    entries = {**excluded, **candidates}
+    best = None
+    for p in sorted(entries):
+        if entries[p] != lifetimes:
+            continue
+        if any(lifetimes & index.rows[p].get(c, index.full) for c in members):
+            continue
+        suppressed = frozenset(
+            w
+            for w, iw in candidates.items()
+            if w != p and not iw & index.rows[p].get(w, index.full)
+        )
+        if best is None or len(suppressed) > len(best.suppressed):
+            best = PivotChoice(p, suppressed)
+    return best
 
 
 class TestConnectedCandidates:

@@ -234,6 +234,28 @@ class TestEnumerate:
         assert records == [PlexRecord(tuple(range(n)), Interval(1, 1))]
         assert stats.recursive_calls <= n + 1
 
+    def test_large_dense_clique_within_time_limit(self):
+        # the first pivot suppresses every other candidate, so the pivot
+        # scan of each call stops there instead of scoring all 400 vertices
+        n = 400
+        graph = TemporalGraph(
+            tuple(f"v{i:03d}" for i in range(n)),
+            tuple((1, u, v) for u in range(n) for v in range(u + 1, n)),
+            1,
+        )
+        records, stats = collect_maximal_plexes(
+            graph, SearchConfig(delta=0, k=1, time_limit=10)
+        )
+        assert not stats.timed_out
+        assert records == [PlexRecord(tuple(range(n)), Interval(1, 1))]
+        assert stats.recursive_calls == n + 1
+
+    def test_phase_timers_within_wall_time(self, fig1_graph):
+        _, stats = collect_maximal_plexes(fig1_graph, SearchConfig(delta=1, k=2))
+        assert stats.index_seconds > 0
+        assert stats.search_seconds > 0
+        assert stats.index_seconds + stats.search_seconds <= stats.wall_time_seconds
+
     def test_long_sparse_lifetime(self):
         # six contacts over a lifetime of 10^9 steps: the search works on
         # the segments between contacts, not on a billion frames
