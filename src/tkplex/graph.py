@@ -9,7 +9,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
-from .intervals import Interval
+from .intervals import Interval, IntervalSet
 
 log = logging.getLogger(__name__)
 
@@ -178,15 +178,6 @@ def segment_starts(graph: TemporalGraph, fd: FrameDomain) -> list[int]:
     return sorted(cuts)
 
 
-class _Frames(int):
-    """A segment bitset whose ``len()`` is its number of maximal runs."""
-
-    __slots__ = ()
-
-    def __len__(self) -> int:
-        return (self & ~(self << 1)).bit_count()
-
-
 class NonNeighborhoodIndex:
     """Per-pair frame sets where two vertices share no edge in the window.
 
@@ -210,8 +201,10 @@ class NonNeighborhoodIndex:
         segment = {frame: i for i, frame in enumerate(self._starts)}
         n = len(self._starts)
         self.full = (1 << n) - 1
-        self._pairs: dict[tuple[int, int], _Frames] = {}
-        for pair, times in by_pair.items():
+        self.rows: list[dict[int, int]] = [
+            {v: self.full} for v in range(graph.vertex_count)
+        ]
+        for (u, v), times in by_pair.items():
             neighbor = lo = hi = 0  # open run of neighbor segments [lo, hi)
             for t in times:
                 a = segment[max(1, t - delta)]
@@ -220,12 +213,20 @@ class NonNeighborhoodIndex:
                     lo = a
                 hi = segment[t + 1] if t < last else n
             neighbor |= (1 << hi) - (1 << lo)
-            self._pairs[pair] = _Frames(self.full ^ neighbor)
-        self.rows: list[dict[int, int]] = [
-            {v: self.full} for v in range(graph.vertex_count)
-        ]
-        for (u, v), frames in self._pairs.items():
-            self.rows[u][v] = self.rows[v][u] = frames
+            self.rows[u][v] = self.rows[v][u] = self.full ^ neighbor
+
+    @property
+    def _pairs(self) -> dict[tuple[int, int], IntervalSet]:
+        """Non-neighbor frames of each edge-sharing pair u < w, from the rows.
+
+        Read by the benchmark's tracer only; the search uses ``rows``.
+        """
+        return {
+            (u, w): self.frame_set(frames)
+            for u, row in enumerate(self.rows)
+            for w, frames in row.items()
+            if u < w
+        }
 
     def runs(self, frames: int) -> Iterator[tuple[int, Interval]]:
         """Each maximal run of ``frames``: its segment mask and frame interval."""
@@ -237,6 +238,10 @@ class NonNeighborhoodIndex:
             hi = run.bit_length()
             end = starts[hi] - 1 if hi < len(starts) else self.frame_domain.last_frame
             yield run, Interval(starts[low.bit_length() - 1], end)
+
+    def frame_set(self, frames: int) -> IntervalSet:
+        """The frame intervals of a segment bitset."""
+        return IntervalSet._raw([iv for _, iv in self.runs(frames)])
 
     def segment(self, frame: int) -> int:
         """Index of the segment that holds ``frame``."""

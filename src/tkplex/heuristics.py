@@ -4,17 +4,10 @@ enumerator applies their verdicts without mutating its candidate sets."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .graph import NonNeighborhoodIndex
 from .pairset import PairSet
-
-
-@dataclass(frozen=True)
-class PivotChoice:
-    pivot: int
-    suppressed: frozenset[int]
 
 
 def select_pivot(
@@ -23,15 +16,15 @@ def select_pivot(
     candidates: PairSet,
     excluded: PairSet,
     index: NonNeighborhoodIndex,
-) -> PivotChoice | None:
+) -> tuple[int, frozenset[int]] | None:
     """Pick the pivot whose fully-adjacent candidate set is largest.
 
     Eligible pivots are candidate or excluded vertices adjacent to every plex
     member throughout the call's entire lifetime frame set, so any plex
     interval emitted below this call can absorb the pivot.  A candidate is
     suppressed when it is adjacent to the pivot throughout the candidate's
-    frame set.  Ties break toward the smallest vertex index; returns None
-    when no vertex is eligible.
+    frame set.  Returns ``(pivot, suppressed)``, with ties broken toward the
+    smallest vertex index, or None when no vertex is eligible.
 
     The scan stops once no later vertex can suppress more: a candidate
     pivot suppresses at most |candidates| - 1 vertices and an excluded one
@@ -65,7 +58,7 @@ def select_pivot(
             bound = len(candidates) - (p >= last_excluded)
             if len(suppressed) >= bound:
                 break
-    return None if best is None else PivotChoice(*best)
+    return best
 
 
 def connected_candidates(

@@ -14,16 +14,13 @@ class Pool:
     recursive call).
     """
 
-    __slots__ = ("segments", "_planes")
+    __slots__ = ("_planes",)
 
-    def __init__(self, segments: int, planes: dict[int, tuple[int, ...]] | None = None):
-        if segments < 1:
-            raise ValueError("frame domain must be non-empty")
-        self.segments = segments
+    def __init__(self, planes: dict[int, tuple[int, ...]] | None = None):
         self._planes: dict[int, tuple[int, ...]] = {} if planes is None else planes
 
     def copy(self) -> "Pool":
-        return Pool(self.segments, dict(self._planes))
+        return Pool(dict(self._planes))
 
     def count(self, vertex: int, segment: int) -> int:
         return sum(

@@ -4,14 +4,16 @@ The search walks vertex-frame-set candidates in ascending vertex order,
 keeps a copy-on-write pool of per-segment non-neighbor counts, and reports
 every maximal plex exactly once through a caller-supplied sink.  Inside the
 search every frame set is an ``int`` bitset over the index's segments;
-plex records carry frame intervals.
+plex records carry frame intervals.  The recursion runs on an explicit
+stack with one generator per open call, so its depth, which equals the
+plex order, is not bounded by the interpreter's stack.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable, Iterator, Protocol
 
 from .graph import FrameDomain, NonNeighborhoodIndex, TemporalGraph
 from .heuristics import connected_candidates, select_pivot
@@ -34,6 +36,8 @@ class SearchConfig:
             raise ValueError("k must be at least 1")
         if self.delta < 0:
             raise ValueError("delta must be non-negative")
+        if self.time_limit is not None and not self.time_limit >= 0:  # NaN too
+            raise ValueError("time limit must be a non-negative number")
 
     @property
     def min_size(self) -> int:
@@ -80,76 +84,68 @@ class CallMonitor(Protocol):
 Sink = Callable[[PlexRecord], None]
 
 
-class _TimeLimitReached(Exception):
-    pass
-
-
 def update_pool(
     pool: Pool,
     members: tuple[int, ...],
     pair: tuple[int, int],
-    candidates: PairSet,
-    excluded: PairSet,
     index: NonNeighborhoodIndex,
     k: int,
-) -> tuple[Pool, PairSet]:
-    """Account for a vertex newly added to the plex vertex set.
+) -> tuple[Pool, list[tuple[int, dict[int, int]]]]:
+    """Count a vertex newly added to the plex against the plex members.
 
-    Returns the successor pool plus the critical pairs: every (vertex,
-    frames) whose non-neighbor count inside the grown set reaches exactly k.
-    ``members`` holds the new vertex v; an entry for v in ``candidates`` or
-    ``excluded`` is ignored.
+    ``members`` holds the new vertex v, which counts itself through its
+    full self-row.  Returns the successor pool, still to be incremented for
+    the candidate and excluded entries by ``update_candidates``, and the
+    blockers: one ``(frames, rows[u])`` pair for each member u whose
+    non-neighbor count reaches exactly k on those frames.
     """
     v, iv = pair
-    row, full = index.rows[v], index.full
+    rows, full = index.rows, index.full
+    row = rows[v]
     new_pool = pool.copy()
     increment = new_pool.increment
-    critical: PairSet = {}
-    for entries in (candidates.items(), excluded.items()):
-        for w, iw in entries:
-            frames = iw & row.get(w, full)
-            if frames and w != v:
-                hits = increment(w, frames, critical_at=k)
-                if hits:
-                    critical[w] = hits
-    for w in members:  # every member is tracked on the new vertex's frames
-        frames = iv & row.get(w, full)
+    blockers = []
+    for u in members:
+        frames = iv & row.get(u, full)
         if frames:
-            hits = increment(w, frames, critical_at=k)
+            hits = increment(u, frames, critical_at=k)
             if hits:
-                critical[w] = hits
-    return new_pool, critical
+                blockers.append((hits, rows[u]))
+    return new_pool, blockers
 
 
 def update_candidates(
     source: PairSet,
-    members: tuple[int, ...],
-    critical: PairSet,
+    pool: Pool,
+    blockers: list[tuple[int, dict[int, int]]],
     pair: tuple[int, int],
     index: NonNeighborhoodIndex,
+    k: int,
 ) -> PairSet:
-    """Shrink candidate (or excluded) entries after growing the plex.
+    """Count the new vertex for candidate (or excluded) entries and shrink them.
 
-    Each surviving entry keeps exactly the frames where its vertex still
-    extends the plex time-maximally: restricted to the new lifetime and
-    stripped of frames where a critical vertex of the plex (or the entry
-    itself) is a non-neighbor.
+    Each entry's count goes up in ``pool`` on its frames where the new
+    vertex v is a non-neighbor.  A surviving entry keeps exactly the frames
+    where its vertex still extends the plex time-maximally: restricted to
+    the new lifetime and stripped of frames where a critical member of the
+    plex (a blocker), or the entry itself, is a non-neighbor.  An entry
+    for v is dropped.
     """
     v, iv = pair
-    rows, full = index.rows, index.full
-    blockers = [(critical[u], rows[u]) for u in members if u in critical]
+    row, full = index.rows[v], index.full
+    increment = pool.increment
     out: PairSet = {}
     for w, iw in source.items():
         if w == v:
             continue
+        frames = iw & row.get(w, full)
         iw &= iv
-        own = critical.get(w)
-        if iw and own:  # its self-row is full: its own critical frames block it
-            iw &= ~own
-        for blocked, row in blockers:
+        if frames:  # its self-row is full: its own critical frames block it
+            iw &= ~increment(w, frames, critical_at=k)
+        for blocked, blocker_row in blockers:
             if not iw:
                 break
-            iw &= ~(blocked & row.get(w, full))
+            iw &= ~(blocked & blocker_row.get(w, full))
         if iw:
             out[w] = iw
     return out
@@ -201,20 +197,18 @@ def enumerate_maximal_plexes(
     deadline = None if config.time_limit is None else started + config.time_limit
     k = config.k
 
-    def recurse(
+    def call(
         candidates: PairSet,
         members: tuple[int, ...],
         lifetimes: int,
         excluded: PairSet,
         pool: Pool,
-    ) -> None:
-        stats.recursive_calls += 1
-        if deadline is not None and time.monotonic() > deadline:
-            raise _TimeLimitReached
+    ) -> Iterator[tuple[PairSet, tuple[int, ...], int, PairSet, Pool]]:
+        """One call: emit its records, then yield each child call's arguments."""
         if monitor is not None:
-            entries = ({w: _frame_set(index, f) for w, f in pairs.items()}
+            entries = ({w: index.frame_set(f) for w, f in pairs.items()}
                        for pairs in (candidates, excluded))
-            monitor.on_call(members, _frame_set(index, lifetimes), *entries,
+            monitor.on_call(members, index.frame_set(lifetimes), *entries,
                             lambda w, frame: pool.count(w, index.segment(frame)))
         for record in emit_maximal(
             members, lifetimes, candidates, excluded, index, config.min_size
@@ -235,8 +229,8 @@ def enumerate_maximal_plexes(
             )
             if not eligible:
                 return
-        choice = select_pivot(members, lifetimes, candidates, excluded, index)
-        suppressed = frozenset() if choice is None else choice.suppressed
+        pivot = select_pivot(members, lifetimes, candidates, excluded, index)
+        suppressed = frozenset() if pivot is None else pivot[1]
         remaining = dict(candidates)
         tried = dict(excluded)
         for v in sorted(candidates):
@@ -246,33 +240,34 @@ def enumerate_maximal_plexes(
                 continue
             iv = remaining[v]
             grown = members + (v,)
-            pool2, critical = update_pool(
-                pool, grown, (v, iv), remaining, tried, index, k
-            )
-            recurse(
-                update_candidates(remaining, grown, critical, (v, iv), index),
+            pool2, blockers = update_pool(pool, grown, (v, iv), index, k)
+            yield (
+                update_candidates(remaining, pool2, blockers, (v, iv), index, k),
                 grown,
                 iv,
-                update_candidates(tried, grown, critical, (v, iv), index),
+                update_candidates(tried, pool2, blockers, (v, iv), index, k),
                 pool2,
             )
             del remaining[v]
             tried[v] = iv
 
     full = index.full
-    root_candidates = {v: full for v in range(graph.vertex_count)}
-    try:
-        recurse(root_candidates, (), full, {}, Pool(full.bit_length()))
-    except _TimeLimitReached:
-        stats.timed_out = True
+    args = ({v: full for v in range(graph.vertex_count)}, (), full, {}, Pool())
+    stack = []
+    while args is not None or stack:
+        if args is not None:
+            stats.recursive_calls += 1
+            if deadline is not None and time.monotonic() > deadline:
+                stats.timed_out = True
+                break
+            stack.append(call(*args))
+        args = next(stack[-1], None)
+        if args is None:
+            stack.pop()
     finished = time.monotonic()
     stats.search_seconds = finished - search_started
     stats.wall_time_seconds = finished - started
     return stats
-
-
-def _frame_set(index: NonNeighborhoodIndex, frames: int) -> IntervalSet:
-    return IntervalSet._raw([iv for _, iv in index.runs(frames)])
 
 
 def collect_maximal_plexes(

@@ -138,6 +138,14 @@ class TestEnumerateCommand:
         code, _ = run_enumerate(fig1_file, tmp_path, "--time-limit", "0")
         assert code == EXIT_TIMEOUT
 
+    @pytest.mark.parametrize("limit", ["-1", "nan"])
+    def test_bad_time_limit_rejected(self, fig1_file, tmp_path, capsys, limit):
+        code, out = run_enumerate(fig1_file, tmp_path, "--time-limit", limit)
+        assert code == EXIT_PARAMETER
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
     def test_scaled_delta_formula(self):
         # reference value 5^e scaled by lifetime / (5 m), rounded, floored at 0
         assert scaled_delta(0, 6, 7) == 0

@@ -1,7 +1,7 @@
 import random
 
 from tkplex.graph import FrameDomain, NonNeighborhoodIndex, TemporalGraph
-from tkplex.heuristics import PivotChoice, connected_candidates, select_pivot
+from tkplex.heuristics import connected_candidates, select_pivot
 from tkplex.search import SearchConfig, collect_maximal_plexes
 
 from conftest import frame_bits, random_temporal_graph, unpivoted
@@ -25,9 +25,10 @@ class TestSelectPivot:
         candidates = {v: index.full for v in range(4)}
         choice = select_pivot((), index.full, candidates, {}, index)
         assert choice is not None
-        assert choice.pivot == 0  # smallest index wins the tie
-        assert choice.suppressed == frozenset({1, 2, 3})
-        assert choice.pivot not in choice.suppressed
+        pivot, suppressed = choice
+        assert pivot == 0  # smallest index wins the tie
+        assert suppressed == frozenset({1, 2, 3})
+        assert pivot not in suppressed
 
     def test_fixture_root_suppression(self, fig1_graph):
         fd = FrameDomain.for_graph(fig1_graph, 1)
@@ -37,8 +38,9 @@ class TestSelectPivot:
         # every pair has non-neighbor frames, so no candidate is fully
         # adjacent to any pivot over the whole domain [1,5]
         assert choice is not None
-        assert choice.suppressed == frozenset()
-        assert choice.pivot not in choice.suppressed
+        pivot, suppressed = choice
+        assert suppressed == frozenset()
+        assert pivot not in suppressed
 
     def test_empty_candidate_and_excluded_sets(self, fig1_graph):
         fd = FrameDomain.for_graph(fig1_graph, 1)
@@ -53,7 +55,7 @@ class TestSelectPivot:
         window = frame_bits(index, (3, 4))
         choice = select_pivot((0,), window, {1: window, 2: window}, {}, index)
         assert choice is not None
-        assert choice.pivot == 2
+        assert choice[0] == 2
 
     def test_excluded_vertices_can_pivot(self):
         graph = complete_temporal_graph(3, 2)
@@ -62,8 +64,7 @@ class TestSelectPivot:
         full = index.full
         choice = select_pivot((), full, {1: full, 2: full}, {0: full}, index)
         assert choice is not None
-        assert choice.pivot == 0
-        assert choice.suppressed == frozenset({1, 2})
+        assert choice == (0, frozenset({1, 2}))
 
     def test_entry_short_of_the_lifetimes_never_pivots(self):
         # 0 is adjacent to everything in every frame, but its entry holds
@@ -75,7 +76,7 @@ class TestSelectPivot:
         for excluded in ({}, {2: full}):
             choice = select_pivot((), full, {0: part, 1: full}, excluded, index)
             assert choice is not None
-            assert choice.pivot != 0
+            assert choice[0] != 0
         assert select_pivot((), full, {0: part}, {}, index) is None
 
     def test_later_excluded_vertex_beats_a_full_candidate_pivot(self):
@@ -86,8 +87,7 @@ class TestSelectPivot:
         full = index.full
         choice = select_pivot((), full, {0: full, 1: full}, {2: full}, index)
         assert choice == full_scan_pivot((), full, {0: full, 1: full}, {2: full}, index)
-        assert choice.pivot == 2
-        assert choice.suppressed == frozenset({0, 1})
+        assert choice == (2, frozenset({0, 1}))
 
     def test_matches_full_scan_on_random_inputs(self):
         rng = random.Random(11)
@@ -111,7 +111,7 @@ class TestSelectPivot:
                 (candidates if rng.random() < 0.7 else excluded)[w] = entry
             want = full_scan_pivot(members, lifetimes, candidates, excluded, index)
             assert select_pivot(members, lifetimes, candidates, excluded, index) == want
-            if want is not None and len(want.suppressed) >= len(candidates) - 1:
+            if want is not None and len(want[1]) >= len(candidates) - 1:
                 stopped_early += 1
         assert stopped_early >= 100  # the early exit is exercised
 
@@ -130,8 +130,8 @@ def full_scan_pivot(members, lifetimes, candidates, excluded, index):
             for w, iw in candidates.items()
             if w != p and not iw & index.rows[p].get(w, index.full)
         )
-        if best is None or len(suppressed) > len(best.suppressed):
-            best = PivotChoice(p, suppressed)
+        if best is None or len(suppressed) > len(best[1]):
+            best = (p, suppressed)
     return best
 
 

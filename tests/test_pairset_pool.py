@@ -1,15 +1,13 @@
 import random
 
-import pytest
-
 from tkplex import pairset
 from tkplex.pool import Pool
 
 # frame sets are segment bitsets: bit i stands for segment i
 
 
-def counts(pool: Pool, vertex: int) -> list[int]:
-    return [pool.count(vertex, i) for i in range(pool.segments)]
+def counts(pool: Pool, vertex: int, segments: int) -> list[int]:
+    return [pool.count(vertex, i) for i in range(segments)]
 
 
 class TestMergePair:
@@ -33,27 +31,23 @@ class TestMergePair:
 
 class TestPool:
     def test_starts_all_zero(self):
-        pool = Pool(5)
-        assert counts(pool, 3) == [0, 0, 0, 0, 0]
-
-    def test_rejects_empty_domain(self):
-        with pytest.raises(ValueError):
-            Pool(0)
+        pool = Pool()
+        assert counts(pool, 3, 5) == [0, 0, 0, 0, 0]
 
     def test_single_increment(self):
-        pool = Pool(5)
+        pool = Pool()
         hits = pool.increment(0, 0b01110, critical_at=1)
         assert hits == 0b01110
-        assert counts(pool, 0) == [0, 1, 1, 1, 0]
+        assert counts(pool, 0, 5) == [0, 1, 1, 1, 0]
 
     def test_critical_only_at_threshold(self):
-        pool = Pool(5)
+        pool = Pool()
         assert pool.increment(0, 0b11111, critical_at=2) == 0
         assert pool.increment(0, 0b00110, critical_at=2) == 0b00110
-        assert counts(pool, 0) == [1, 2, 2, 1, 1]
+        assert counts(pool, 0, 5) == [1, 2, 2, 1, 1]
 
     def test_copy_isolated_from_later_increments(self):
-        pool = Pool(4)
+        pool = Pool()
         pool.increment(0, 0b0011, critical_at=99)
         snapshot = pool.copy()
         pool.increment(0, 0b1111, critical_at=99)
@@ -63,7 +57,7 @@ class TestPool:
     def test_runs_partition_and_alternate(self):
         # random increments: the hits and every count match a plain tally
         rng = random.Random(99)
-        pool = Pool(12)
+        pool = Pool()
         expected = {v: [0] * 12 for v in range(3)}
         for _ in range(60):
             v = rng.randrange(3)
@@ -77,4 +71,4 @@ class TestPool:
                 1 << i for i in range(lo, hi + 1) if expected[v][i] == threshold
             )
             for u in range(3):
-                assert counts(pool, u) == expected[u]
+                assert counts(pool, u, 12) == expected[u]

@@ -1,7 +1,11 @@
 import functools
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -49,63 +53,76 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(delta=-1, k=1)
 
+    @pytest.mark.parametrize("limit", [-1, -0.5, float("nan")])
+    def test_rejects_bad_time_limit(self, limit):
+        with pytest.raises(ValueError, match="time limit"):
+            SearchConfig(delta=0, k=1, time_limit=limit)
+
     def test_min_size(self):
         assert SearchConfig(delta=0, k=2).min_size == 1
         assert SearchConfig(delta=0, k=2, connectedness=True).min_size == 5
 
 
-class TestUpdatePool:
-    # first growth step on the 3-vertex fixture: C grows from {} to {a}
-    def _grow_by_a(self, index, k):
-        full = index.full
-        root = {0: full, 1: full, 2: full}
-        return update_pool(Pool(5), (0,), (0, full), root, {}, index, k)
+def grow_by_a(index, k):
+    """First growth step on the 3-vertex fixture: C grows from {} to {a}.
 
+    ``update_pool`` counts the members, ``update_candidates`` the entries.
+    """
+    full = index.full
+    root = {0: full, 1: full, 2: full}
+    pool, blockers = update_pool(Pool(), (0,), (0, full), index, k)
+    out = update_candidates(root, pool, blockers, (0, full), index, k)
+    return pool, blockers, out
+
+
+class TestUpdatePool:
     def test_counts_after_adding_a(self, fig1_index):
-        pool, critical = self._grow_by_a(fig1_index, k=2)
+        pool, blockers, out = grow_by_a(fig1_index, k=2)
         seg = fig1_index.segment
         assert all(pool.count(0, seg(t)) == 1 for t in range(1, 6))
         assert [t for t in range(1, 6) if pool.count(1, seg(t)) == 1] == [3, 4]
-        assert 1 not in critical
+        assert blockers == []
+        assert out[1] == fig1_index.full  # no critical frames stripped
 
     def test_critical_pairs_for_cliques(self, fig1_index):
-        _, critical = self._grow_by_a(fig1_index, k=1)
-        assert frame_set(fig1_index, critical[0]) == iset((1, 5))
-        assert frame_set(fig1_index, critical[1]) == iset((3, 4))
-        assert frame_set(fig1_index, critical[2]) == iset((1, 2))
+        pool, blockers, out = grow_by_a(fig1_index, k=1)
+        # the member's critical frames come back as a blocker with its row
+        [(hits, row)] = blockers
+        assert frame_set(fig1_index, hits) == iset((1, 5))
+        assert row is fig1_index.rows[0]
+        # an entry is critical where its count reaches k; those frames go
+        seg = fig1_index.segment
+        for w, critical in ((1, iset((3, 4))), (2, iset((1, 2)))):
+            at_k = IntervalSet.from_points(
+                t for t in range(1, 6) if pool.count(w, seg(t)) == 1
+            )
+            assert at_k == critical
+            assert not frame_set(fig1_index, out[w]).intersect(critical)
 
     def test_input_pool_untouched(self, fig1_index):
         full = fig1_index.full
-        pool = Pool(5)
-        update_pool(pool, (0,), (0, full), {0: full, 1: full}, {}, fig1_index, 2)
-        assert all(pool.count(0, i) == 0 for i in range(5))
+        pool = Pool()
+        pool2, blockers = update_pool(pool, (0,), (0, full), fig1_index, 2)
+        update_candidates({0: full, 1: full}, pool2, blockers, (0, full), fig1_index, 2)
+        assert all(pool.count(w, i) == 0 for w in (0, 1) for i in range(5))
 
 
 class TestUpdateCandidates:
     def test_candidate_survives_below_threshold(self, fig1_index):
-        full = fig1_index.full
-        root = {0: full, 1: full, 2: full}
-        _, critical = update_pool(Pool(5), (0,), (0, full), root, {}, fig1_index, 2)
-        out = update_candidates(root, (0,), critical, (0, full), fig1_index)
-        assert out[1] == full
+        _, _, out = grow_by_a(fig1_index, k=2)
+        assert out[1] == fig1_index.full
 
     def test_candidate_shrinks_at_threshold(self, fig1_index):
-        full = fig1_index.full
-        root = {0: full, 1: full, 2: full}
-        _, critical = update_pool(Pool(5), (0,), (0, full), root, {}, fig1_index, 1)
-        out = update_candidates(root, (0,), critical, (0, full), fig1_index)
+        _, _, out = grow_by_a(fig1_index, k=1)
         assert frame_set(fig1_index, out[1]) == iset((1, 2), (5, 5))
 
     def test_grown_vertex_never_in_result(self, fig1_index):
-        full = fig1_index.full
-        root = {0: full, 1: full, 2: full}
-        _, critical = update_pool(Pool(5), (0,), (0, full), root, {}, fig1_index, 2)
-        out = update_candidates(root, (0,), critical, (0, full), fig1_index)
+        _, _, out = grow_by_a(fig1_index, k=2)
         assert 0 not in out
 
     def test_entries_outside_new_lifetime_drop(self, fig1_index, bits):
         source = {1: bits((1, 2))}
-        out = update_candidates(source, (0,), {}, (0, bits((4, 5))), fig1_index)
+        out = update_candidates(source, Pool(), [], (0, bits((4, 5))), fig1_index, 2)
         assert out == {}
 
 
@@ -249,6 +266,29 @@ class TestEnumerate:
         assert not stats.timed_out
         assert records == [PlexRecord(tuple(range(n)), Interval(1, 1))]
         assert stats.recursive_calls == n + 1
+
+    def test_search_depth_is_not_bounded_by_the_interpreter_stack(self):
+        # the one-frame 400-clique nests 400 calls deep: far past a
+        # recursion limit of 200, which a recursive search would hit
+        script = (
+            "import sys\n"
+            "from tkplex.graph import TemporalGraph\n"
+            "from tkplex.search import SearchConfig, collect_maximal_plexes\n"
+            "sys.setrecursionlimit(200)\n"
+            "n = 400\n"
+            "edges = tuple((1, u, v) for u in range(n) for v in range(u + 1, n))\n"
+            "graph = TemporalGraph(tuple(f'v{i:03d}' for i in range(n)), edges, 1)\n"
+            "records, stats = collect_maximal_plexes(graph, SearchConfig(delta=0, k=1))\n"
+            "print(len(records), len(records[0].vertices), stats.recursive_calls)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1", "400", "401"]
 
     def test_phase_timers_within_wall_time(self, fig1_graph):
         _, stats = collect_maximal_plexes(fig1_graph, SearchConfig(delta=1, k=2))
