@@ -6,11 +6,9 @@ from .graph import (
     NonNeighborhoodIndex,
     TemporalGraph,
     delta_slice_degeneracy,
-    frames_covered,
     normalize_timestamps,
     parse_edge_list,
     plex_count_upper_bound,
-    render_edge_list,
 )
 from .intervals import Interval, IntervalSet
 from .search import (
@@ -34,11 +32,9 @@ __all__ = [
     "collect_maximal_plexes",
     "delta_slice_degeneracy",
     "enumerate_maximal_plexes",
-    "frames_covered",
     "normalize_timestamps",
     "parse_edge_list",
     "plex_count_upper_bound",
-    "render_edge_list",
 ]
 
 __version__ = "0.1.0"

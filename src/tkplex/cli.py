@@ -76,10 +76,16 @@ def scaled_delta(exponent: int, lifetime: int, edge_count: int) -> int:
 
 
 def _delta_from_exponent(exponent: int, graph: TemporalGraph) -> int:
-    delta = scaled_delta(exponent, graph.lifetime, graph.edge_count)
-    if delta >= graph.lifetime:  # FrameDomain's message would print every digit
+    # bit lengths decide far-out exponents before any power is taken:
+    # 5^(1-e) > 2 * lifetime rounds to 0, and 5^(e-1) > m reaches the lifetime
+    lifetime, m = graph.lifetime, graph.edge_count
+    if 1 - exponent >= (2 * lifetime).bit_length():
+        return 0
+    too_large = exponent - 1 >= m.bit_length()
+    delta = lifetime if too_large else scaled_delta(exponent, lifetime, m)
+    if delta >= lifetime:  # FrameDomain's message would print every digit
         message = f"--delta-exp {exponent}: delta too large for lifetime"
-        raise _CliError(f"{message} {graph.lifetime}", EXIT_PARAMETER)
+        raise _CliError(f"{message} {lifetime}", EXIT_PARAMETER)
     return delta
 
 
@@ -155,9 +161,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             report["call_upper_bound"] = plex_count_upper_bound(
                 graph.vertex_count, args.k, d, graph.edge_count, graph.lifetime
             )
+        table = sys.stdout if args.output else sys.stderr  # records own stdout
         width = max(len(key) for key in report)
         for key, value in report.items():
-            print(f"{key:<{width}}  {value}")
+            print(f"{key:<{width}}  {value}", file=table)
         if stats_handle is not None:
             stats_handle.write(
                 "".join(f"{key}={value}\n" for key, value in report.items())

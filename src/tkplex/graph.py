@@ -46,14 +46,6 @@ class TemporalGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def union_adjacency(self) -> dict[int, set[int]]:
-        """Static adjacency of the underlying (time-collapsed) graph."""
-        adj: dict[int, set[int]] = {v: set() for v in range(self.vertex_count)}
-        for _, u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
 
 def parse_edge_list(
     text: str,
@@ -132,14 +124,6 @@ def normalize_timestamps(graph: TemporalGraph, resolution: int) -> TemporalGraph
     return TemporalGraph(graph.labels, edges, max(t for t, _, _ in edges))
 
 
-def render_edge_list(graph: TemporalGraph) -> str:
-    """Inverse of parse_edge_list for the default column order."""
-    lines = [
-        f"{t} {graph.labels[u]} {graph.labels[v]}" for t, u, v in graph.edges
-    ]
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class FrameDomain:
     """Window width delta and the index range [1, last_frame] of frames."""
@@ -156,11 +140,6 @@ class FrameDomain:
                 f"delta {delta} too large for lifetime {graph.lifetime}"
             )
         return cls(delta, graph.lifetime - delta)
-
-
-def frames_covered(t: int, fd: FrameDomain) -> Interval:
-    """Frame indices i whose window [i, i+delta] contains time step t."""
-    return Interval(max(1, t - fd.delta), min(fd.last_frame, t))
 
 
 def segment_starts(graph: TemporalGraph, fd: FrameDomain) -> list[int]:

@@ -1,4 +1,4 @@
-"""Bit-sliced per-vertex, per-segment non-neighbor counters."""
+"""Per-vertex, per-segment non-neighbor counts that stop at k."""
 
 from __future__ import annotations
 
@@ -6,43 +6,41 @@ from __future__ import annotations
 class Pool:
     """Counts of a vertex's non-neighbors inside the growing plex vertex set.
 
-    Per vertex, a tuple of bit planes over the segments of the frame domain
-    (see ``NonNeighborhoodIndex``): bit i of plane j is bit j of the count
-    on segment i.  Vertices without an entry are all-zero.  ``copy`` is
-    shallow and ``increment`` replaces plane tuples instead of mutating
-    them, so copies taken before an increment stay valid (one copy per
-    recursive call).
+    Per vertex, k nested level sets over the segments of the frame domain
+    (see ``NonNeighborhoodIndex``): bit i of level j is set when the count
+    on segment i is above j.  Vertices without an entry are all-zero.
+    ``copy`` is shallow and ``increment`` replaces level tuples instead of
+    mutating them, so copies taken before an increment stay valid.
+
+    No count passes k, because no increment touches a segment whose count
+    is already k: the search strips an entry's frames where its count
+    reaches k, and where a member at count k is a non-neighbor.
     """
 
-    __slots__ = ("_planes",)
+    __slots__ = ("_levels", "_zero")
 
-    def __init__(self, planes: dict[int, tuple[int, ...]] | None = None):
-        self._planes: dict[int, tuple[int, ...]] = {} if planes is None else planes
+    def __init__(self, k: int):
+        self._levels: dict[int, tuple[int, ...]] = {}
+        self._zero = (0,) * k
 
     def copy(self) -> "Pool":
-        return Pool(dict(self._planes))
+        twin = Pool(len(self._zero))
+        twin._levels = dict(self._levels)
+        return twin
 
     def count(self, vertex: int, segment: int) -> int:
-        return sum(
-            ((plane >> segment) & 1) << j
-            for j, plane in enumerate(self._planes.get(vertex, ()))
-        )
+        return sum((level >> segment) & 1 for level in self._levels.get(vertex, ()))
 
-    def increment(self, vertex: int, frames: int, critical_at: int) -> int:
+    def increment(self, vertex: int, frames: int) -> int:
         """Add one to the vertex's count on every segment of ``frames``.
 
-        Returns the segments whose new count equals ``critical_at``.
+        Returns the segments whose count newly reached k.
         """
-        planes = []
-        carry = frames
-        for plane in self._planes.get(vertex, ()):  # ripple carry
-            planes.append(plane ^ carry)
-            carry &= plane
-        if carry:
-            planes.append(carry)
-        self._planes[vertex] = tuple(planes)
-        hits = frames
-        for plane in planes:
-            hits &= plane if critical_at & 1 else ~plane
-            critical_at >>= 1
-        return 0 if critical_at else hits
+        levels = self._levels.get(vertex, self._zero)
+        raised = []
+        carry = frames  # the segments whose count passes the next level
+        for level in levels:
+            raised.append(level | carry)
+            carry &= level
+        self._levels[vertex] = raised = tuple(raised)
+        return raised[-1] ^ levels[-1]

@@ -89,7 +89,6 @@ def update_pool(
     members: tuple[int, ...],
     pair: tuple[int, int],
     index: NonNeighborhoodIndex,
-    k: int,
 ) -> tuple[Pool, list[tuple[int, dict[int, int]]]]:
     """Count a vertex newly added to the plex against the plex members.
 
@@ -108,7 +107,7 @@ def update_pool(
     for u in members:
         frames = iv & row.get(u, full)
         if frames:
-            hits = increment(u, frames, critical_at=k)
+            hits = increment(u, frames)
             if hits:
                 blockers.append((hits, rows[u]))
     return new_pool, blockers
@@ -120,7 +119,6 @@ def update_candidates(
     blockers: list[tuple[int, dict[int, int]]],
     pair: tuple[int, int],
     index: NonNeighborhoodIndex,
-    k: int,
 ) -> PairSet:
     """Count the new vertex for candidate (or excluded) entries and shrink them.
 
@@ -141,7 +139,7 @@ def update_candidates(
         frames = iw & row.get(w, full)
         iw &= iv
         if frames:  # its self-row is full: its own critical frames block it
-            iw &= ~increment(w, frames, critical_at=k)
+            iw &= ~increment(w, frames)
         for blocked, blocker_row in blockers:
             if not iw:
                 break
@@ -195,7 +193,6 @@ def enumerate_maximal_plexes(
     search_started = time.monotonic()
     stats = RunStats(index_seconds=search_started - index_started)
     deadline = None if config.time_limit is None else started + config.time_limit
-    k = config.k
 
     def call(
         candidates: PairSet,
@@ -240,19 +237,19 @@ def enumerate_maximal_plexes(
                 continue
             iv = remaining[v]
             grown = members + (v,)
-            pool2, blockers = update_pool(pool, grown, (v, iv), index, k)
+            pool2, blockers = update_pool(pool, grown, (v, iv), index)
             yield (
-                update_candidates(remaining, pool2, blockers, (v, iv), index, k),
+                update_candidates(remaining, pool2, blockers, (v, iv), index),
                 grown,
                 iv,
-                update_candidates(tried, pool2, blockers, (v, iv), index, k),
+                update_candidates(tried, pool2, blockers, (v, iv), index),
                 pool2,
             )
             del remaining[v]
             tried[v] = iv
 
     full = index.full
-    args = ({v: full for v in range(graph.vertex_count)}, (), full, {}, Pool())
+    args = ({v: full for v in range(graph.vertex_count)}, (), full, {}, Pool(config.k))
     stack = []
     while args is not None or stack:
         if args is not None:

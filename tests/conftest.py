@@ -4,8 +4,13 @@ from unittest import mock
 
 import pytest
 
-from tkplex.graph import NonNeighborhoodIndex, TemporalGraph, parse_edge_list
-from tkplex.intervals import IntervalSet
+from tkplex.graph import (
+    FrameDomain,
+    NonNeighborhoodIndex,
+    TemporalGraph,
+    parse_edge_list,
+)
+from tkplex.intervals import Interval, IntervalSet
 
 FIG1_TEXT = """\
 1 b c
@@ -26,6 +31,28 @@ def fig1_text() -> str:
 @pytest.fixture
 def fig1_graph() -> TemporalGraph:
     return parse_edge_list(FIG1_TEXT)
+
+
+def render_edge_list(graph: TemporalGraph) -> str:
+    """Inverse of parse_edge_list for the default column order."""
+    lines = [
+        f"{t} {graph.labels[u]} {graph.labels[v]}" for t, u, v in graph.edges
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def union_adjacency(graph: TemporalGraph) -> dict[int, set[int]]:
+    """Static adjacency of the underlying (time-collapsed) graph."""
+    adj: dict[int, set[int]] = {v: set() for v in range(graph.vertex_count)}
+    for _, u, v in graph.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def frames_covered(t: int, fd: FrameDomain) -> Interval:
+    """Frame indices i whose window [i, i+delta] contains time step t."""
+    return Interval(max(1, t - fd.delta), min(fd.last_frame, t))
 
 
 def frame_bits(index: NonNeighborhoodIndex, *pairs: tuple[int, int]) -> int:
@@ -101,7 +128,7 @@ def static_maximal_kplexes(graph: TemporalGraph, k: int) -> set[frozenset[int]]:
     k-plexes are closed under vertex removal, so maximality reduces to
     checking every one-vertex extension.
     """
-    adjacency = graph.union_adjacency()
+    adjacency = union_adjacency(graph)
     everyone = range(graph.vertex_count)
 
     def is_kplex(group: frozenset[int]) -> bool:

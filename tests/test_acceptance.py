@@ -30,6 +30,7 @@ from conftest import (
     scale_graph,
     static_maximal_kplexes,
     sweep_corpus,
+    union_adjacency,
     unpivoted,
 )
 from tkplex.graph import parse_edge_list
@@ -289,7 +290,7 @@ def test_criterion_8_degeneracy():
     for g in CORPUS:
         delta = g.lifetime - 1
         sliced = delta_slice_degeneracy(g, FrameDomain.for_graph(g, delta))
-        static = static_degeneracy(g.union_adjacency())
+        static = static_degeneracy(union_adjacency(g))
         if sliced != static:
             failures.append(f"n={g.vertex_count} m={g.edge_count}")
     report(

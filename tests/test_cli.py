@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,27 @@ class TestEnumerateCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "too large for lifetime" in err[0]
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("command,extra", [
+        ("enumerate", ["--k", "1"]),
+        ("degeneracy", []),
+    ])
+    def test_far_out_delta_exp_decided_at_once(
+        self, fig1_file, capsys, command, extra, sign
+    ):
+        # 10^9 ends like 10^6, with no power of 5 taken, in either direction
+        outcomes = []
+        for exponent in (sign * 10**6, sign * 10**9):
+            started = time.monotonic()
+            code = main([command, str(fig1_file), "--delta-exp", str(exponent), *extra])
+            assert time.monotonic() - started < 5
+            done = capsys.readouterr()
+            lines = [line for line in (done.out + done.err).splitlines()
+                     if "seconds" not in line]
+            outcomes.append((code, "\n".join(lines).replace(str(exponent), "E")))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == (EXIT_PARAMETER if sign > 0 else EXIT_OK)
+
     def test_delta_exp_flag(self, fig1_file, tmp_path):
         out = tmp_path / "records.txt"
         code = main(
@@ -238,6 +260,21 @@ class TestOracleCommand:
         )
         assert code == EXIT_OK
         assert "ok:" in capsys.readouterr().out
+
+    def test_piped_stdout_verifies(self, fig1_file, tmp_path, capsys):
+        # without --output the records own stdout and the table goes to stderr
+        code = main(["enumerate", str(fig1_file), "--delta", "1", "--k", "2"])
+        assert code == EXIT_OK
+        piped = capsys.readouterr()
+        assert "recursive_calls" in piped.err
+        out = tmp_path / "out.txt"
+        out.write_text(piped.out)
+        code = main(
+            ["oracle", str(fig1_file), "--delta", "1", "--k", "2",
+             "--records", str(out)]
+        )
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == "ok: 5 records match\n"
 
     def test_missing_record_detected(self, fig1_file, tmp_path, capsys):
         _, out = run_enumerate(fig1_file, tmp_path)

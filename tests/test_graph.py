@@ -8,15 +8,19 @@ from tkplex.graph import (
     NonNeighborhoodIndex,
     TemporalGraph,
     delta_slice_degeneracy,
-    frames_covered,
     normalize_timestamps,
     parse_edge_list,
     plex_count_upper_bound,
-    render_edge_list,
 )
 from tkplex.intervals import Interval, IntervalSet
 
-from conftest import edgeless_graph, frame_set, random_temporal_graph
+from conftest import (
+    edgeless_graph,
+    frame_set,
+    frames_covered,
+    random_temporal_graph,
+    render_edge_list,
+)
 
 
 class TestParseEdgeList:

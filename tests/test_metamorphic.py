@@ -9,6 +9,8 @@ needed, so the graphs can have up to 12 vertices and a lifetime of 40.
 - Permuting the vertex indices permutes the records' vertices.
 - Scaling the timestamps by s and shifting them, then running
   `tkplex enumerate --resolution s`, gives the same output lines.
+- Inserting s empty time steps after a frame p whose window holds no
+  contact maps every record bound x to x if x <= p and to x + s otherwise.
 """
 
 import random
@@ -16,9 +18,11 @@ import random
 import pytest
 
 from tkplex.cli import main
-from tkplex.graph import TemporalGraph, render_edge_list
+from tkplex.graph import TemporalGraph
 from tkplex.intervals import Interval
 from tkplex.search import SearchConfig, collect_maximal_plexes
+
+from conftest import render_edge_list
 
 GRAPHS = 20
 DELTAS = (0, 1, 3)
@@ -143,3 +147,34 @@ def test_scaled_and_shifted_timestamps_normalize_back(corpus, tmp_path, capsys):
             for r in outputs[g, delta, k, connected]
         ]
         assert out.read_text().splitlines() == expected, (g, delta, k, connected)
+
+
+def test_empty_steps_after_an_empty_frame_shift_later_bounds(corpus):
+    # the inserted frames repeat frame p, whose window [p, p + delta] holds
+    # no contact, so they fall into frame p's segment
+    graphs, _ = corpus
+    rng = random.Random(13)
+    records = 0
+    for g, delta, k, connected in CASES:
+        graph = graphs[g]
+        p = rng.randint(2, graph.lifetime - delta - 1)
+        s = rng.randint(1, 5)
+        cleared = [(t, u, v) for t, u, v in graph.edges if not p <= t <= p + delta]
+        before = TemporalGraph(graph.labels, tuple(cleared), graph.lifetime)
+        after = TemporalGraph(
+            graph.labels,
+            tuple((t + s * (t > p), u, v) for t, u, v in cleared),
+            graph.lifetime + s,
+        )
+
+        def moved(x: int) -> int:
+            return x if x <= p else x + s
+
+        expected = {
+            (vertices, Interval(moved(iv.start), moved(iv.end)))
+            for vertices, iv in as_set(run(before, delta, k, connected))
+        }
+        got = as_set(run(after, delta, k, connected))
+        assert got == expected, (g, delta, k, connected, p, s)
+        records += len(got)
+    assert records > 10 * len(CASES)  # not vacuous

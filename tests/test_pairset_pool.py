@@ -31,44 +31,43 @@ class TestMergePair:
 
 class TestPool:
     def test_starts_all_zero(self):
-        pool = Pool()
+        pool = Pool(2)
         assert counts(pool, 3, 5) == [0, 0, 0, 0, 0]
 
     def test_single_increment(self):
-        pool = Pool()
-        hits = pool.increment(0, 0b01110, critical_at=1)
+        pool = Pool(1)
+        hits = pool.increment(0, 0b01110)
         assert hits == 0b01110
         assert counts(pool, 0, 5) == [0, 1, 1, 1, 0]
 
     def test_critical_only_at_threshold(self):
-        pool = Pool()
-        assert pool.increment(0, 0b11111, critical_at=2) == 0
-        assert pool.increment(0, 0b00110, critical_at=2) == 0b00110
+        pool = Pool(2)
+        assert pool.increment(0, 0b11111) == 0
+        assert pool.increment(0, 0b00110) == 0b00110
         assert counts(pool, 0, 5) == [1, 2, 2, 1, 1]
 
     def test_copy_isolated_from_later_increments(self):
-        pool = Pool()
-        pool.increment(0, 0b0011, critical_at=99)
+        pool = Pool(3)
+        pool.increment(0, 0b0011)
         snapshot = pool.copy()
-        pool.increment(0, 0b1111, critical_at=99)
+        pool.increment(0, 0b1111)
         assert snapshot.count(0, 0) == 1
         assert pool.count(0, 0) == 2
 
     def test_runs_partition_and_alternate(self):
-        # random increments: the hits and every count match a plain tally
+        # increments below k: the hits and every count match a plain tally
         rng = random.Random(99)
-        pool = Pool()
-        expected = {v: [0] * 12 for v in range(3)}
-        for _ in range(60):
-            v = rng.randrange(3)
-            lo = rng.randint(0, 11)
-            hi = rng.randint(lo, 11)
-            threshold = rng.randint(1, 5)
-            hits = pool.increment(v, (1 << (hi + 1)) - (1 << lo), critical_at=threshold)
-            for i in range(lo, hi + 1):
-                expected[v][i] += 1
-            assert hits == sum(
-                1 << i for i in range(lo, hi + 1) if expected[v][i] == threshold
-            )
-            for u in range(3):
-                assert counts(pool, u, 12) == expected[u]
+        for k in (1, 2, 3, 5):
+            pool = Pool(k)
+            expected = {v: [0] * 12 for v in range(3)}
+            for _ in range(60):
+                v = rng.randrange(3)
+                lo = rng.randint(0, 11)
+                hi = rng.randint(lo, 11)
+                below = [i for i in range(lo, hi + 1) if expected[v][i] < k]
+                hits = pool.increment(v, sum(1 << i for i in below))
+                for i in below:
+                    expected[v][i] += 1
+                assert hits == sum(1 << i for i in below if expected[v][i] == k)
+                for u in range(3):
+                    assert counts(pool, u, 12) == expected[u]

@@ -70,8 +70,8 @@ def grow_by_a(index, k):
     """
     full = index.full
     root = {0: full, 1: full, 2: full}
-    pool, blockers = update_pool(Pool(), (0,), (0, full), index, k)
-    out = update_candidates(root, pool, blockers, (0, full), index, k)
+    pool, blockers = update_pool(Pool(k), (0,), (0, full), index)
+    out = update_candidates(root, pool, blockers, (0, full), index)
     return pool, blockers, out
 
 
@@ -101,9 +101,9 @@ class TestUpdatePool:
 
     def test_input_pool_untouched(self, fig1_index):
         full = fig1_index.full
-        pool = Pool()
-        pool2, blockers = update_pool(pool, (0,), (0, full), fig1_index, 2)
-        update_candidates({0: full, 1: full}, pool2, blockers, (0, full), fig1_index, 2)
+        pool = Pool(2)
+        pool2, blockers = update_pool(pool, (0,), (0, full), fig1_index)
+        update_candidates({0: full, 1: full}, pool2, blockers, (0, full), fig1_index)
         assert all(pool.count(w, i) == 0 for w in (0, 1) for i in range(5))
 
 
@@ -122,7 +122,7 @@ class TestUpdateCandidates:
 
     def test_entries_outside_new_lifetime_drop(self, fig1_index, bits):
         source = {1: bits((1, 2))}
-        out = update_candidates(source, Pool(), [], (0, bits((4, 5))), fig1_index, 2)
+        out = update_candidates(source, Pool(2), [], (0, bits((4, 5))), fig1_index)
         assert out == {}
 
 
