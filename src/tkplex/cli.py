@@ -4,6 +4,7 @@ brute-force cross-checks of result files."""
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from contextlib import ExitStack
@@ -295,10 +296,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # the reader has gone (`| head`): the search stops where the write
+        # failed, and stdout goes to devnull so the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -227,16 +227,39 @@ class NonNeighborhoodIndex:
         return bisect_right(self._starts, frame) - 1
 
 
-def _bucket_degeneracy(adjacency: dict[int, set[int]]) -> int:
-    """Static degeneracy by bucket-queue minimum-degree peeling."""
+def segment_snapshots(
+    graph: TemporalGraph, fd: FrameDomain
+) -> Iterator[dict[int, set[int]]]:
+    """Each segment's window snapshot as an adjacency dict, in segment order.
+
+    All frames of a segment share one snapshot: for the segment starting at
+    frame i, the edges with t in [i, i + delta].  Vertices without an edge
+    in the window are left out.
+    """
+    times = [t for t, _, _ in graph.edges]
+    for i in segment_starts(graph, fd):
+        lo, hi = bisect_left(times, i), bisect_right(times, i + fd.delta)
+        adjacency: dict[int, set[int]] = {}
+        for _, u, v in graph.edges[lo:hi]:
+            adjacency.setdefault(u, set()).add(v)
+            adjacency.setdefault(v, set()).add(u)
+        yield adjacency
+
+
+def _core_numbers(adjacency: dict[int, set[int]]) -> dict[int, int]:
+    """Each vertex's core number, by bucket-queue minimum-degree peeling.
+
+    A vertex's core number is the largest degree at which any vertex up to
+    and including it was peeled; the degeneracy is the largest of them.
+    """
     degree = {v: len(nb) for v, nb in adjacency.items()}
     if not degree:
-        return 0
+        return {}
     max_deg = max(degree.values())
     buckets: list[set[int]] = [set() for _ in range(max_deg + 1)]
     for v, d in degree.items():
         buckets[d].add(v)
-    removed: set[int] = set()
+    core: dict[int, int] = {}
     best = 0
     cursor = 0
     for _ in range(len(adjacency)):
@@ -244,34 +267,39 @@ def _bucket_degeneracy(adjacency: dict[int, set[int]]) -> int:
             cursor += 1
         v = buckets[cursor].pop()
         best = max(best, cursor)
-        removed.add(v)
+        core[v] = best
         for w in adjacency[v]:
-            if w in removed:
+            if w in core:
                 continue
             d = degree[w]
             buckets[d].discard(w)
             degree[w] = d - 1
             buckets[d - 1].add(w)
         cursor = max(0, cursor - 1)
-    return best
+    return core
 
 
 def delta_slice_degeneracy(graph: TemporalGraph, fd: FrameDomain) -> int:
-    """Maximum static degeneracy over all frame snapshot graphs.
+    """Maximum static degeneracy over all frame snapshot graphs."""
+    return max(
+        (max(_core_numbers(adjacency).values(), default=0)
+         for adjacency in segment_snapshots(graph, fd)),
+        default=0,
+    )
 
-    All frames of a segment share one snapshot: for the segment starting at
-    frame i, the edges with t in [i, i + delta].  Each is peeled on its own.
+
+def core_frames(graph: TemporalGraph, fd: FrameDomain, order: int) -> list[int]:
+    """Per vertex, the segment bitset where it lies in the order-core.
+
+    Bit i is set when the vertex lies in the ``order``-core of segment i's
+    window snapshot: the largest subgraph of minimum degree ``order``.
     """
-    times = [t for t, _, _ in graph.edges]
-    best = 0
-    for i in segment_starts(graph, fd):
-        lo, hi = bisect_left(times, i), bisect_right(times, i + fd.delta)
-        adjacency: dict[int, set[int]] = {}
-        for _, u, v in graph.edges[lo:hi]:
-            adjacency.setdefault(u, set()).add(v)
-            adjacency.setdefault(v, set()).add(u)
-        best = max(best, _bucket_degeneracy(adjacency))
-    return best
+    frames = [0] * graph.vertex_count
+    for i, adjacency in enumerate(segment_snapshots(graph, fd)):
+        for v, core in _core_numbers(adjacency).items():
+            if core >= order:
+                frames[v] |= 1 << i
+    return frames
 
 
 def plex_count_upper_bound(n: int, k: int, d: int, m: int, lifetime: int) -> int:

@@ -22,10 +22,16 @@ class InvariantViolation(AssertionError):
 class InvariantMonitor:
     """Checks pool counts, candidate exactness, and call uniqueness.
 
-    Attach via the ``monitor`` argument of ``enumerate_maximal_plexes``.
+    Attach via the ``monitor`` argument of ``enumerate_maximal_plexes``,
+    with the run's ``connectedness``.  A connected run lists plexes of
+    order >= 2k+1 only, whose members lie in the (k+1)-core of every
+    frame's snapshot, so there a group is feasible on a frame only if all
+    of it lies in that core.
     """
 
-    def __init__(self, graph: TemporalGraph, delta: int, k: int):
+    def __init__(
+        self, graph: TemporalGraph, delta: int, k: int, connectedness: bool
+    ):
         self.graph = graph
         self.delta = delta
         self.k = k
@@ -34,6 +40,10 @@ class InvariantMonitor:
         self._times: dict[tuple[int, int], list[int]] = {}
         for t, u, v in graph.edges:
             self._times.setdefault((u, v), []).append(t)
+        self._cores = (
+            [self._core(i, k + 1) for i in range(1, self.last_frame + 1)]
+            if connectedness else None
+        )
 
     def _non_neighbors_in_frame(self, u: int, w: int, i: int) -> bool:
         if u == w:
@@ -45,7 +55,23 @@ class InvariantMonitor:
         j = bisect_left(times, i)
         return not (j < len(times) and times[j] <= i + self.delta)
 
+    def _core(self, i: int, order: int) -> set[int]:
+        """The order-core of frame i's snapshot, peeled to a fixpoint."""
+        adjacency: dict[int, set[int]] = {}
+        for u, w in self._times:
+            if not self._non_neighbors_in_frame(u, w, i):
+                adjacency.setdefault(u, set()).add(w)
+                adjacency.setdefault(w, set()).add(u)
+        alive = set(adjacency)
+        while True:
+            weak = {v for v in alive if len(adjacency[v] & alive) < order}
+            if not weak:
+                return alive
+            alive -= weak
+
     def _frame_ok(self, group: tuple[int, ...], i: int) -> bool:
+        if self._cores is not None and not self._cores[i - 1].issuperset(group):
+            return False
         for v in group:
             missing = sum(
                 1 for u in group if self._non_neighbors_in_frame(u, v, i)

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Protocol
 
-from .graph import FrameDomain, NonNeighborhoodIndex, TemporalGraph
+from .graph import FrameDomain, NonNeighborhoodIndex, TemporalGraph, core_frames
 from .heuristics import connected_candidates, select_pivot
 from .intervals import Interval, IntervalSet
 from .pairset import PairSet
@@ -60,7 +60,7 @@ class RunStats:
     max_lifetime_length: int = 0
     recursive_calls: int = 0
     wall_time_seconds: float = 0.0  # frame domain, index and search
-    index_seconds: float = 0.0
+    index_seconds: float = 0.0  # non-neighbor index and root core peel
     search_seconds: float = 0.0
     timed_out: bool = False
 
@@ -184,12 +184,20 @@ def enumerate_maximal_plexes(
 
     Every call with candidates pivots; ``config`` may switch on the
     connectedness filter, and a time limit stops the search with partial
-    output and ``timed_out`` set.
+    output and ``timed_out`` set.  When ``config.min_size`` exceeds k, each
+    root entry holds only the segments where its vertex lies in the
+    (min_size - k)-core of the window snapshot.
     """
     started = time.monotonic()
     fd = FrameDomain.for_graph(graph, config.delta)
     index_started = time.monotonic()
     index = NonNeighborhoodIndex(graph, fd)
+    # each member of a plex of order >= min_size has >= min_size - k
+    # neighbours in every frame, so it lies in that frame's core
+    order = config.min_size - config.k
+    full = index.full
+    roots = (core_frames(graph, fd, order) if order > 0
+             else [full] * graph.vertex_count)
     search_started = time.monotonic()
     stats = RunStats(index_seconds=search_started - index_started)
     deadline = None if config.time_limit is None else started + config.time_limit
@@ -248,8 +256,7 @@ def enumerate_maximal_plexes(
             del remaining[v]
             tried[v] = iv
 
-    full = index.full
-    args = ({v: full for v in range(graph.vertex_count)}, (), full, {}, Pool(config.k))
+    args = ({v: f for v, f in enumerate(roots) if f}, (), full, {}, Pool(config.k))
     stack = []
     while args is not None or stack:
         if args is not None:

@@ -81,7 +81,7 @@ WORKLOAD_PINS = {
         "42ddcceeafdca8fe095f7bb2f80eca5e59f94d6ea1b3cf83756d5c8629228146",
     ),
     "community-connected": (
-        1357, 4,
+        79, 4,
         "cddc2238505a94bb31b0cfeeb54d6b89c49fe072a297c6edc21f4b8645c53986",
     ),
 }

@@ -16,7 +16,7 @@ from tkplex.cli import (
     scaled_delta,
 )
 
-from conftest import FIG1_TEXT
+from conftest import FIG1_TEXT, render_edge_list, scale_graph
 
 
 @pytest.fixture
@@ -208,6 +208,31 @@ class TestEnumerateCommand:
         )
         assert code == EXIT_OK
         assert "a b 1 1" in out.read_text().splitlines()
+
+
+    def test_closed_pipe_stops_quietly(self, tmp_path):
+        # `tkplex enumerate ... | head -1`: about 120 kB of records, more
+        # than a pipe holds, so the reader closes it while the search runs
+        path = tmp_path / "contacts.txt"
+        path.write_text(render_edge_list(
+            scale_graph(n=40, edge_target=6000, omega=5000)
+        ))
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tkplex.cli", "enumerate", str(path),
+             "--delta", "0", "--k", "1"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert first.split()[-2:] == ["1", "5000"]
+        assert code == EXIT_OK, err
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert "recursive_calls" not in err  # stopped before the stats table
 
 
 class TestDegeneracyCommand:

@@ -7,6 +7,7 @@ from tkplex.graph import (
     FrameDomain,
     NonNeighborhoodIndex,
     TemporalGraph,
+    core_frames,
     delta_slice_degeneracy,
     normalize_timestamps,
     parse_edge_list,
@@ -214,6 +215,61 @@ class TestDegeneracy:
         # one peel per segment, not per frame: three contacts over 10^9 steps
         graph = parse_edge_list("1 a b\n2 b c\n1000000000 a c\n")
         assert delta_slice_degeneracy(graph, FrameDomain.for_graph(graph, 0)) == 1
+
+
+def naive_core_frames(graph: TemporalGraph, delta: int, order: int) -> list[set[int]]:
+    """Per vertex, the frames whose window snapshot's order-core holds it."""
+    frames: list[set[int]] = [set() for _ in range(graph.vertex_count)]
+    for i in range(1, graph.lifetime - delta + 1):
+        adjacency: dict[int, set[int]] = {v: set() for v in range(graph.vertex_count)}
+        for t, u, v in graph.edges:
+            if i <= t <= i + delta:
+                adjacency[u].add(v)
+                adjacency[v].add(u)
+        alive = set(adjacency)
+        while weak := {v for v in alive if len(adjacency[v] & alive) < order}:
+            alive -= weak
+        for v in alive:
+            frames[v].add(i)
+    return frames
+
+
+class TestCoreFrames:
+    def test_fixture_delta_one(self, fig1_graph):
+        # only frame 5's window [5, 6] holds a triangle
+        fd = FrameDomain.for_graph(fig1_graph, 1)
+        index = NonNeighborhoodIndex(fig1_graph, fd)
+        cores = core_frames(fig1_graph, fd, 2)
+        assert [frame_set(index, f) for f in cores] == [IntervalSet([(5, 5)])] * 3
+        a, b, c = core_frames(fig1_graph, fd, 1)
+        assert frame_set(index, a) == IntervalSet([(1, 5)])
+        assert frame_set(index, b) == IntervalSet([(1, 2), (4, 5)])
+        assert frame_set(index, c) == IntervalSet([(1, 1), (3, 5)])
+
+    def test_matches_naive_per_frame_peel(self):
+        rng = random.Random(17)
+        checked = 0
+        for _ in range(150):
+            omega = rng.randint(1, 10)
+            graph = random_temporal_graph(
+                rng, rng.randint(2, 8), omega, rng.choice((0.1, 0.3, 0.6))
+            )
+            delta = rng.randint(0, min(2, omega - 1))
+            fd = FrameDomain.for_graph(graph, delta)
+            index = NonNeighborhoodIndex(graph, fd)
+            for order in range(1, 5):
+                got = [
+                    set(frame_set(index, f).members())
+                    for f in core_frames(graph, fd, order)
+                ]
+                expected = naive_core_frames(graph, delta, order)
+                assert got == expected, (graph, delta, order)
+                checked += sum(map(len, expected))
+        assert checked > 1000  # not vacuous
+
+    def test_edgeless_has_empty_cores(self):
+        graph = edgeless_graph(4, 5)
+        assert core_frames(graph, FrameDomain(1, 4), 1) == [0, 0, 0, 0]
 
 
 class TestPlexCountUpperBound:

@@ -8,6 +8,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from tkplex.graph import (
     FrameDomain,
@@ -28,7 +30,13 @@ from tkplex.search import (
     update_pool,
 )
 
-from conftest import edgeless_graph, frame_bits, frame_set, random_temporal_graph
+from conftest import (
+    edgeless_graph,
+    frame_bits,
+    frame_set,
+    random_temporal_graph,
+    scale_graph,
+)
 
 
 def iset(*pairs) -> IntervalSet:
@@ -334,3 +342,48 @@ class TestEnumerate:
             )
             truth = enumerate_all_maximal(graph, delta, k)
             assert _as_set(records) == truth.as_set()
+
+
+class TestConnectedCoreCut:
+    """``--connected`` cuts root entries to each vertex's (k+1)-core frames."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.integers(2, 8),
+        omega=st.integers(1, 10),
+        delta=st.integers(0, 2),
+        k=st.integers(1, 3),
+        density=st.sampled_from((0.3, 0.5, 0.7, 0.9)),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_matches_oracle_records_of_order_2k_plus_1(
+        self, n, omega, delta, k, density, rng
+    ):
+        assume(delta < omega)
+        graph = random_temporal_graph(rng, n, omega, density)
+        records, _ = collect_maximal_plexes(
+            graph, SearchConfig(delta=delta, k=k, connectedness=True)
+        )
+        truth = enumerate_all_maximal(graph, delta, k).as_set()
+        assert _as_set(records) == {r for r in truth if len(r.vertices) > 2 * k}
+
+    def test_scale_records_equal_the_filtered_plain_run(self):
+        # the S4 shape: 30 vertices, 3,000 contacts over 500 steps
+        graph = scale_graph(n=30, edge_target=3000, omega=500)
+        connected, _ = collect_maximal_plexes(
+            graph, SearchConfig(delta=20, k=2, connectedness=True)
+        )
+        plain, _ = collect_maximal_plexes(graph, SearchConfig(delta=20, k=2))
+        assert connected
+        assert connected == [r for r in plain if len(r.vertices) >= 5]
+
+    def test_sparse_graph_without_cores_takes_one_call(self):
+        # about five contacts per 11-step window among 100 vertices: no
+        # window has a 3-core, so the root has no candidates
+        graph = scale_graph(n=100, edge_target=5000, omega=10_000)
+        records, stats = collect_maximal_plexes(
+            graph, SearchConfig(delta=10, k=2, connectedness=True)
+        )
+        assert records == []
+        assert stats.recursive_calls == 1
