@@ -99,8 +99,10 @@ def _resolve_delta(args: argparse.Namespace, graph: TemporalGraph) -> int:
 
 
 def _record_line(record: PlexRecord, labels: tuple[str, ...]) -> str:
-    names = sorted(labels[v] for v in record.vertices)
-    return " ".join((*names, str(record.interval.start), str(record.interval.end)))
+    # labels are sorted and record vertices ascend, so the names are in order
+    interval = record.interval
+    names = " ".join([labels[v] for v in record.vertices])
+    return f"{names} {interval.start} {interval.end}"
 
 
 def _open_for_writing(path: str | None, files: ExitStack) -> TextIO | None:

@@ -3,15 +3,12 @@ slice degeneracy, and the combinatorial output bound."""
 
 from __future__ import annotations
 
-import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
 from .intervals import Interval, IntervalSet
-
-log = logging.getLogger(__name__)
 
 
 class EdgeListParseError(ValueError):
@@ -90,7 +87,9 @@ def parse_edge_list(
             continue
         raw.append((t, a, b))
     if self_loops:
-        log.warning("skipped %d self-loop edge(s)", self_loops)
+        import logging  # here, not at the top: it adds to every start-up
+
+        logging.getLogger(__name__).warning("skipped %d self-loop edge(s)", self_loops)
     if not raw:
         raise EdgeListParseError("empty input")
 

@@ -122,12 +122,13 @@ def update_candidates(
 ) -> PairSet:
     """Count the new vertex for candidate (or excluded) entries and shrink them.
 
-    Each entry's count goes up in ``pool`` on its frames where the new
-    vertex v is a non-neighbor.  A surviving entry keeps exactly the frames
-    where its vertex still extends the plex time-maximally: restricted to
-    the new lifetime and stripped of frames where a critical member of the
-    plex (a blocker), or the entry itself, is a non-neighbor.  An entry
-    for v is dropped.
+    Each entry is cut to the new lifetime (v's frames) before its count goes
+    up in ``pool`` on the frames where v is a non-neighbor: no later call
+    reads a count outside its entry's frames.  A surviving entry keeps
+    exactly the frames where its vertex still extends the plex
+    time-maximally: stripped of frames where a critical member of the plex
+    (a blocker), or the entry itself, is a non-neighbor.  An entry for v is
+    dropped.
     """
     v, iv = pair
     row, full = index.rows[v], index.full
@@ -136,8 +137,10 @@ def update_candidates(
     for w, iw in source.items():
         if w == v:
             continue
-        frames = iw & row.get(w, full)
         iw &= iv
+        if not iw:
+            continue
+        frames = iw & row.get(w, full)
         if frames:  # its self-row is full: its own critical frames block it
             iw &= ~increment(w, frames)
         for blocked, blocker_row in blockers:
@@ -161,16 +164,20 @@ def emit_maximal(
 
     A run is withheld when some candidate or excluded entry holds all of
     it.  Every entry is a subset of the lifetimes, so such an entry has that
-    exact run as one of its own maximal runs.
+    exact run as one of its own maximal runs.  A run that leaves the union
+    of all entries is emitted without testing the entries one by one.
     """
     if len(members) < min_size:
         return []
     entries = [*candidates.values(), *excluded.values()]
+    covered = 0
+    for e in entries:
+        covered |= e
     ordered = tuple(sorted(members))
     return [
         PlexRecord(ordered, iv)
         for run, iv in index.runs(lifetimes)
-        if not any(e & run == run for e in entries)
+        if run & covered != run or not any(e & run == run for e in entries)
     ]
 
 
@@ -215,16 +222,18 @@ def enumerate_maximal_plexes(
                        for pairs in (candidates, excluded))
             monitor.on_call(members, index.frame_set(lifetimes), *entries,
                             lambda w, frame: pool.count(w, index.segment(frame)))
-        for record in emit_maximal(
+        records = emit_maximal(
             members, lifetimes, candidates, excluded, index, config.min_size
-        ):
-            stats.plex_count += 1
-            stats.max_plex_order = max(stats.max_plex_order, len(record.vertices))
+        )
+        if records:
+            stats.plex_count += len(records)
+            stats.max_plex_order = max(stats.max_plex_order, len(members))
             stats.max_lifetime_length = max(
-                stats.max_lifetime_length, record.interval.length()
+                stats.max_lifetime_length, *(r.interval.length() for r in records)
             )
             if sink is not None:
-                sink(record)
+                for record in records:
+                    sink(record)
         if not candidates:
             return
         eligible = None

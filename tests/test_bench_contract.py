@@ -23,6 +23,8 @@ from workloads import WORKLOADS, uniform_contacts  # noqa: E402
 
 from tkplex import cli  # noqa: E402
 from tkplex.graph import parse_edge_list  # noqa: E402
+from tkplex.pool import Pool  # noqa: E402
+from tkplex.search import SearchConfig, collect_maximal_plexes  # noqa: E402
 
 DELTA = 2
 # run.py adds these two itself, from outside the tracer
@@ -70,35 +72,59 @@ def test_traced_run_reports_every_layer_metric(tmp_path, capsys, extra):
         assert metrics[f"intervals.{op}_calls"] == 0
 
 
-# (recursive_calls, plex_count, sha256 of the output file) at seed 1
+# (recursive_calls, plex_count, Pool.increment calls, sha256 of the output
+# file) at seed 1; the search counts an entry only inside its cut to the
+# new lifetime, the frames a later call can read
 WORKLOAD_PINS = {
     "clique-long": (
-        822, 6036,
+        822, 6036, 2717,
         "836d487e6ee667e9bb22bbe69310f6a062769b429c55acc884881e565ec8b3c1",
     ),
     "plex-window": (
-        3601, 5910,
+        3601, 5910, 36418,
         "42ddcceeafdca8fe095f7bb2f80eca5e59f94d6ea1b3cf83756d5c8629228146",
     ),
     "community-connected": (
-        79, 4,
+        79, 4, 670,
         "cddc2238505a94bb31b0cfeeb54d6b89c49fe072a297c6edc21f4b8645c53986",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOAD_PINS))
-def test_workload_output_and_counts_are_pinned(tmp_path, name):
+def test_workload_output_and_counts_are_pinned(tmp_path, monkeypatch, name):
     workload = WORKLOADS[name]
     edges, out, stats_path = (tmp_path / f for f in ("edges.txt", "out.txt", "stats.txt"))
     edges.write_text(workload.generate(1).edge_list_text())
+    increment, increments = Pool.increment, 0
+
+    def counted(pool, vertex, frames):
+        nonlocal increments
+        increments += 1
+        return increment(pool, vertex, frames)
+
+    monkeypatch.setattr(Pool, "increment", counted)
     code = cli.main(
         ["enumerate", str(edges), *workload.enumerate_args(),
          "--output", str(out), "--stats", str(stats_path)]
     )
     assert code == 0
     stats = dict(line.split("=", 1) for line in stats_path.read_text().splitlines())
-    calls, plexes, digest = WORKLOAD_PINS[name]
+    calls, plexes, pool_increments, digest = WORKLOAD_PINS[name]
     assert int(stats["recursive_calls"]) == calls
     assert int(stats["plex_count"]) == plexes
+    assert increments == pool_increments
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_run_stats_summarize_the_records(name):
+    # the search updates these once per call, from the call's records
+    workload = WORKLOADS[name]
+    graph = parse_edge_list(workload.generate(1).edge_list_text())
+    config = SearchConfig(workload.delta, workload.k, workload.connected)
+    records, stats = collect_maximal_plexes(graph, config)
+    assert records
+    assert stats.plex_count == len(records)
+    assert stats.max_plex_order == max(len(r.vertices) for r in records)
+    assert stats.max_lifetime_length == max(r.interval.length() for r in records)

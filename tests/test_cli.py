@@ -47,6 +47,19 @@ class TestEnumerateCommand:
             labels = line.split()[:-2]
             assert labels == sorted(labels)
 
+    def test_names_sorted_as_strings(self, tmp_path, capsys):
+        # first seen as v9, v10, a; as strings they sort a, v10, v9
+        edges = tmp_path / "edges.txt"
+        edges.write_text("1 v9 v10\n2 v10 a\n3 v9 a\n4 v9 v10\n4 v10 a\n")
+        out = tmp_path / "records.txt"
+        args = [str(edges), "--delta", "1", "--k", "2"]
+        assert main(["enumerate", *args, "--output", str(out)]) == EXIT_OK
+        names = [line.split()[:-2] for line in out.read_text().splitlines()]
+        assert ["a", "v10", "v9"] in names
+        assert all(n == sorted(n) for n in names)
+        assert main(["oracle", *args, "--records", str(out)]) == EXIT_OK
+        assert "ok:" in capsys.readouterr().out
+
     def test_runs_are_byte_identical(self, fig1_file, tmp_path):
         _, first = run_enumerate(fig1_file, tmp_path)
         text = first.read_text()

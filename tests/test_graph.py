@@ -1,3 +1,4 @@
+import logging
 import random
 
 import pytest
@@ -57,10 +58,13 @@ class TestParseEdgeList:
         with pytest.raises(EdgeListParseError, match="self-loop"):
             parse_edge_list("1 a a\n1 a b\n")
 
-    def test_self_loop_skipped_on_request(self):
+    def test_self_loop_skipped_on_request(self, caplog):
         graph = parse_edge_list("1 a a\n1 a b\n", on_self_loop="skip")
         assert graph.edge_count == 1
         assert graph.labels == ("a", "b")
+        assert caplog.record_tuples == [
+            ("tkplex.graph", logging.WARNING, "skipped 1 self-loop edge(s)")
+        ]
 
     def test_timestamps_shift_to_one(self):
         graph = parse_edge_list("100 a b\n103 b c\n")

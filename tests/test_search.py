@@ -133,6 +133,20 @@ class TestUpdateCandidates:
         out = update_candidates(source, Pool(2), [], (0, bits((4, 5))), fig1_index)
         assert out == {}
 
+    def test_counts_only_inside_new_lifetime(self, fig1_index, bits):
+        # a and c are non-neighbors on frames 1-2, but the new lifetime
+        # starts at frame 2: no later call reads c's count on frame 1
+        iv = bits((2, 5))
+        pool = Pool(2)
+        out = update_candidates({2: fig1_index.full}, pool, [], (0, iv), fig1_index)
+        assert out == {2: iv}
+        outside = fig1_index.full & ~iv
+        assert outside
+        for s in range(outside.bit_length()):
+            if outside >> s & 1:
+                assert pool.count(2, s) == 0
+        assert pool.count(2, fig1_index.segment(2)) == 1
+
 
 class TestEmitMaximal:
     def test_emits_unblocked_interval(self, fig1_index, bits):
