@@ -8,7 +8,6 @@ import os
 import sys
 import time
 from contextlib import ExitStack
-from pathlib import Path
 from typing import TextIO
 
 from .graph import (
@@ -37,7 +36,8 @@ class _CliError(Exception):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
 
@@ -141,7 +141,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         stats = enumerate_maximal_plexes(graph, config, sink)
 
         report = {
-            "dataset": Path(args.input).name,
+            "dataset": os.path.basename(args.input),
             "n": graph.vertex_count,
             "m": graph.edge_count,
             "omega": graph.lifetime,

@@ -4,9 +4,8 @@ slice degeneracy, and the combinatorial output bound."""
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Iterator
+from bisect import bisect_right
+from typing import Iterator, NamedTuple
 
 from .intervals import Interval, IntervalSet
 
@@ -21,14 +20,12 @@ class EdgeListParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass
-class TemporalGraph:
+class TemporalGraph(NamedTuple):
     """Undirected temporal graph with dense vertex indices.
 
     ``labels`` maps index -> original vertex name (sorted lexicographically at
     ingestion, so index order equals label order).  ``edges`` holds distinct
     (t, u, v) triples with u < v, sorted, and timestamps in [1, lifetime].
-    Instances are treated as immutable after construction.
     """
 
     labels: tuple[str, ...]
@@ -52,9 +49,11 @@ def parse_edge_list(
     """Build a graph from whitespace-separated edge lines.
 
     ``column_spec`` gives the (timestamp, vertex, vertex) column indices;
-    extra columns are ignored and '#' lines are comments.  Timestamps are
-    shifted so the smallest maps to 1, and repeated contacts collapse into
-    one.  Self-loops are rejected unless ``on_self_loop`` is "skip".
+    extra columns are ignored and a line whose first field starts with '#'
+    is a comment.  Timestamps are shifted so the smallest maps to 1, and
+    repeated contacts collapse into one.  Self-loops are rejected unless
+    ``on_self_loop`` is "skip".  Each line is split once; contacts are
+    deduplicated in input order, so sorted input stays cheap to sort.
     """
     if on_self_loop not in ("error", "skip"):
         raise ValueError(f"unknown self-loop policy {on_self_loop!r}")
@@ -63,10 +62,9 @@ def parse_edge_list(
     raw: list[tuple[int, str, str]] = []
     self_loops = 0
     for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        fields = line.split()
+        if not fields or fields[0][0] == "#":
             continue
-        fields = stripped.split()
         if len(fields) < need:
             raise EdgeListParseError(
                 f"expected at least {need} columns, got {len(fields)}", line_no
@@ -93,14 +91,16 @@ def parse_edge_list(
     if not raw:
         raise EdgeListParseError("empty input")
 
-    labels = tuple(sorted({name for _, a, b in raw for name in (a, b)}))
+    times, heads, tails = zip(*raw)
+    labels = tuple(sorted({*heads, *tails}))
     index = {name: i for i, name in enumerate(labels)}
-    shift = min(t for t, _, _ in raw) - 1
-    sorted_edges = tuple(sorted(
-        {(t - shift, *sorted((index[a], index[b]))) for t, a, b in raw}
-    ))
-    lifetime = max(t for t, _, _ in sorted_edges)
-    return TemporalGraph(labels, sorted_edges, lifetime)
+    shift = min(times) - 1
+    contacts: dict[tuple[int, int, int], None] = {}
+    for t, a, b in raw:
+        u, v = index[a], index[b]
+        contacts[(t - shift, u, v) if u < v else (t - shift, v, u)] = None
+    edges = tuple(sorted(contacts))
+    return TemporalGraph(labels, edges, edges[-1][0])
 
 
 def normalize_timestamps(graph: TemporalGraph, resolution: int) -> TemporalGraph:
@@ -123,15 +123,14 @@ def normalize_timestamps(graph: TemporalGraph, resolution: int) -> TemporalGraph
     return TemporalGraph(graph.labels, edges, max(t for t, _, _ in edges))
 
 
-@dataclass(frozen=True)
-class FrameDomain:
+class FrameDomain(NamedTuple):
     """Window width delta and the index range [1, last_frame] of frames."""
 
     delta: int
     last_frame: int
 
     @classmethod
-    def for_graph(cls, graph: TemporalGraph, delta: int) -> "FrameDomain":
+    def for_graph(cls, graph: TemporalGraph, delta: int) -> FrameDomain:
         if delta < 0:
             raise ValueError("delta must be non-negative")
         if graph.lifetime - delta < 1:
@@ -150,7 +149,7 @@ def segment_starts(graph: TemporalGraph, fd: FrameDomain) -> list[int]:
     delta, last = fd.delta, fd.last_frame
     cuts = {1}
     for t, _, _ in graph.edges:
-        cuts.add(max(1, t - delta))
+        cuts.add(t - delta if t > delta else 1)
         if t < last:
             cuts.add(t + 1)
     return sorted(cuts)
@@ -185,7 +184,7 @@ class NonNeighborhoodIndex:
         for (u, v), times in by_pair.items():
             neighbor = lo = hi = 0  # open run of neighbor segments [lo, hi)
             for t in times:
-                a = segment[max(1, t - delta)]
+                a = segment[t - delta if t > delta else 1]
                 if a > hi:
                     neighbor |= (1 << hi) - (1 << lo)
                     lo = a
@@ -228,24 +227,40 @@ class NonNeighborhoodIndex:
 
 def segment_snapshots(
     graph: TemporalGraph, fd: FrameDomain
-) -> Iterator[dict[int, set[int]]]:
+) -> Iterator[dict[int, dict[int, int]]]:
     """Each segment's window snapshot as an adjacency dict, in segment order.
 
     All frames of a segment share one snapshot: for the segment starting at
-    frame i, the edges with t in [i, i + delta].  Vertices without an edge
-    in the window are left out.
+    frame i, the edges with t in [i, i + delta].  ``adjacency[u][v]`` is the
+    number of u-v contacts in the window; vertices without one are left
+    out.  One adjacency slides along the segments and is yielded each time,
+    so a caller must finish with a snapshot before asking for the next.
     """
-    times = [t for t, _, _ in graph.edges]
+    edges, delta = graph.edges, fd.delta
+    adjacency: dict[int, dict[int, int]] = {}
+    lo = hi = 0  # the window holds edges[lo:hi]
     for i in segment_starts(graph, fd):
-        lo, hi = bisect_left(times, i), bisect_right(times, i + fd.delta)
-        adjacency: dict[int, set[int]] = {}
-        for _, u, v in graph.edges[lo:hi]:
-            adjacency.setdefault(u, set()).add(v)
-            adjacency.setdefault(v, set()).add(u)
+        while hi < len(edges) and edges[hi][0] <= i + delta:
+            _, u, v = edges[hi]
+            hi += 1
+            for a, b in ((u, v), (v, u)):
+                row = adjacency.setdefault(a, {})
+                row[b] = row.get(b, 0) + 1
+        while lo < hi and edges[lo][0] < i:
+            _, u, v = edges[lo]
+            lo += 1
+            for a, b in ((u, v), (v, u)):
+                row = adjacency[a]
+                if row[b] > 1:
+                    row[b] -= 1
+                elif len(row) > 1:
+                    del row[b]
+                else:
+                    del adjacency[a]
         yield adjacency
 
 
-def _core_numbers(adjacency: dict[int, set[int]]) -> dict[int, int]:
+def _core_numbers(adjacency: dict[int, dict[int, int]]) -> dict[int, int]:
     """Each vertex's core number, by bucket-queue minimum-degree peeling.
 
     A vertex's core number is the largest degree at which any vertex up to

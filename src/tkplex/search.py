@@ -12,8 +12,7 @@ plex order, is not bounded by the interpreter's stack.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterator, Protocol
+from typing import Callable, Iterator, NamedTuple, Protocol
 
 from .graph import FrameDomain, NonNeighborhoodIndex, TemporalGraph, core_frames
 from .heuristics import connected_candidates, select_pivot
@@ -22,22 +21,50 @@ from .pairset import PairSet
 from .pool import Pool
 
 
-@dataclass
-class SearchConfig:
+class _Fields:
+    """``==`` and ``repr`` over ``__slots__``, as a dataclass would add them.
+
+    Plain classes keep ``dataclasses`` (and the ``inspect`` it imports) off
+    the start-up path of every ``tkplex`` run.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class SearchConfig(_Fields):
     """Parameters of one enumeration run."""
 
-    delta: int
-    k: int
-    connectedness: bool = False
-    time_limit: float | None = None
+    __slots__ = ("delta", "k", "connectedness", "time_limit")
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
+    def __init__(
+        self,
+        delta: int,
+        k: int,
+        connectedness: bool = False,
+        time_limit: float | None = None,
+    ) -> None:
+        if k < 1:
             raise ValueError("k must be at least 1")
-        if self.delta < 0:
+        if delta < 0:
             raise ValueError("delta must be non-negative")
-        if self.time_limit is not None and not self.time_limit >= 0:  # NaN too
+        if time_limit is not None and not time_limit >= 0:  # NaN too
             raise ValueError("time limit must be a non-negative number")
+        self.delta = delta
+        self.k = k
+        self.connectedness = connectedness
+        self.time_limit = time_limit
 
     @property
     def min_size(self) -> int:
@@ -45,24 +72,40 @@ class SearchConfig:
         return 2 * self.k + 1 if self.connectedness else 1
 
 
-@dataclass(frozen=True)
-class PlexRecord:
+class PlexRecord(NamedTuple):
     """One maximal plex: sorted vertex indices and a frame interval."""
 
     vertices: tuple[int, ...]
     interval: Interval
 
 
-@dataclass
-class RunStats:
-    plex_count: int = 0
-    max_plex_order: int = 0
-    max_lifetime_length: int = 0
-    recursive_calls: int = 0
-    wall_time_seconds: float = 0.0  # frame domain, index and search
-    index_seconds: float = 0.0  # non-neighbor index and root core peel
-    search_seconds: float = 0.0
-    timed_out: bool = False
+class RunStats(_Fields):
+    """Counters and phase timers of one run."""
+
+    __slots__ = (
+        "plex_count", "max_plex_order", "max_lifetime_length", "recursive_calls",
+        "wall_time_seconds", "index_seconds", "search_seconds", "timed_out",
+    )
+
+    def __init__(
+        self,
+        plex_count: int = 0,
+        max_plex_order: int = 0,
+        max_lifetime_length: int = 0,
+        recursive_calls: int = 0,
+        wall_time_seconds: float = 0.0,  # frame domain, index and search
+        index_seconds: float = 0.0,  # non-neighbor index and root core peel
+        search_seconds: float = 0.0,
+        timed_out: bool = False,
+    ) -> None:
+        self.plex_count = plex_count
+        self.max_plex_order = max_plex_order
+        self.max_lifetime_length = max_lifetime_length
+        self.recursive_calls = recursive_calls
+        self.wall_time_seconds = wall_time_seconds
+        self.index_seconds = index_seconds
+        self.search_seconds = search_seconds
+        self.timed_out = timed_out
 
 
 class CallMonitor(Protocol):

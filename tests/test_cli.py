@@ -247,6 +247,33 @@ class TestEnumerateCommand:
         assert "Traceback" not in err and "Exception ignored" not in err
         assert "recursive_calls" not in err  # stopped before the stats table
 
+    @pytest.mark.parametrize("run", [False, True], ids=["import", "enumerate"])
+    def test_start_up_skips_dataclasses(self, fig1_file, tmp_path, run):
+        # every run pays for its imports: `dataclasses` loads `inspect`,
+        # `ast`, `dis` and `tokenize`, about 10 ms, more than the search
+        # takes on small inputs
+        script = "import sys, tkplex.cli\n"
+        if run:
+            script += (
+                "code = tkplex.cli.main(['enumerate', sys.argv[1], '--delta', '1',"
+                " '--k', '2', '--output', sys.argv[2]])\n"
+                "assert code == 0, code\n"
+            )
+        script += (
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = tmp_path / "records.txt"
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(fig1_file), str(out)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+        if run:
+            assert "a b c 4 5" in out.read_text().splitlines()
+
 
 class TestDegeneracyCommand:
     def test_fixture_values(self, fig1_file, capsys):

@@ -83,6 +83,46 @@ class TestParseEdgeList:
     def test_round_trip(self, fig1_graph):
         assert parse_edge_list(render_edge_list(fig1_graph)) == fig1_graph
 
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            lambda text: "  # indented comment\n\t#tab comment\n" + text,
+            lambda text: text.replace(" ", "\t"),
+            lambda text: text.replace("\n", "\r\n"),
+            lambda text: "".join(
+                f"{t} {b} {a}\n" for t, a, b in map(str.split, text.splitlines())
+            ),
+        ],
+        ids=["indented-comment", "tabs", "crlf", "swapped-endpoints"],
+    )
+    def test_layout_variants_give_the_same_graph(self, fig1_text, fig1_graph, variant):
+        assert parse_edge_list(variant(fig1_text)) == fig1_graph
+
+    def test_shuffled_lines_with_duplicates_give_the_same_graph(
+        self, fig1_text, fig1_graph
+    ):
+        rng = random.Random(5)
+        for _ in range(20):
+            lines = fig1_text.splitlines() * 2
+            lines += [" ".join([t, b, a]) for t, a, b in map(str.split, lines[:3])]
+            rng.shuffle(lines)
+            assert parse_edge_list("\n".join(lines)) == fig1_graph
+
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            ("7 a", "expected at least 3 columns"),
+            ("x a b", "bad timestamp 'x'"),
+            ("-3 a b", "negative timestamp -3"),
+            ("7 c c", "self-loop on vertex 'c'"),
+        ],
+    )
+    def test_error_line_counts_blank_and_comment_lines(self, bad_line, message):
+        text = "1 a b\n\n# comment\n   \n2 b c\n" + bad_line + "\n3 a c\n"
+        with pytest.raises(EdgeListParseError, match=f"^line 6: {message}") as info:
+            parse_edge_list(text)
+        assert info.value.line_no == 6
+
 
 class TestNormalizeTimestamps:
     def test_rescale(self):

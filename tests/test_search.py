@@ -22,6 +22,7 @@ from tkplex.oracle import enumerate_all_maximal
 from tkplex.pool import Pool
 from tkplex.search import (
     PlexRecord,
+    RunStats,
     SearchConfig,
     collect_maximal_plexes,
     emit_maximal,
@@ -69,6 +70,16 @@ class TestSearchConfig:
     def test_min_size(self):
         assert SearchConfig(delta=0, k=2).min_size == 1
         assert SearchConfig(delta=0, k=2, connectedness=True).min_size == 5
+
+    def test_compared_and_shown_by_fields(self):
+        config = SearchConfig(1, 2, True)
+        assert config == SearchConfig(delta=1, k=2, connectedness=True)
+        assert config != SearchConfig(delta=1, k=2)
+        assert repr(config) == (
+            "SearchConfig(delta=1, k=2, connectedness=True, time_limit=None)"
+        )
+        assert repr(RunStats()).startswith("RunStats(plex_count=0, ")
+        assert RunStats(plex_count=3) == RunStats(plex_count=3) != RunStats()
 
 
 def grow_by_a(index, k):
