@@ -6,7 +6,6 @@ from .graph import (
     NonNeighborhoodIndex,
     TemporalGraph,
     delta_slice_degeneracy,
-    normalize_timestamps,
     parse_edge_list,
     plex_count_upper_bound,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "collect_maximal_plexes",
     "delta_slice_degeneracy",
     "enumerate_maximal_plexes",
-    "normalize_timestamps",
     "parse_edge_list",
     "plex_count_upper_bound",
 ]

@@ -15,7 +15,6 @@ from .graph import (
     FrameDomain,
     TemporalGraph,
     delta_slice_degeneracy,
-    normalize_timestamps,
     parse_edge_list,
     plex_count_upper_bound,
 )
@@ -57,9 +56,8 @@ def _load_graph(args: argparse.Namespace) -> TemporalGraph:
             text,
             column_spec=columns,
             on_self_loop="skip" if args.skip_self_loops else "error",
+            resolution=args.resolution,
         )
-        if args.resolution != 1:
-            graph = normalize_timestamps(graph, args.resolution)
     except EdgeListParseError as exc:
         raise _CliError(str(exc), EXIT_PARSE) from exc
     return graph

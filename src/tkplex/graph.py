@@ -45,21 +45,29 @@ def parse_edge_list(
     text: str,
     column_spec: tuple[int, int, int] = (0, 1, 2),
     on_self_loop: str = "error",
+    resolution: int = 1,
 ) -> TemporalGraph:
     """Build a graph from whitespace-separated edge lines.
 
     ``column_spec`` gives the (timestamp, vertex, vertex) column indices;
     extra columns are ignored and a line whose first field starts with '#'
-    is a comment.  Timestamps are shifted so the smallest maps to 1, and
-    repeated contacts collapse into one.  Self-loops are rejected unless
-    ``on_self_loop`` is "skip".  Each line is split once; contacts are
-    deduplicated in input order, so sorted input stays cheap to sort.
+    is a comment.  Timestamps map to ``(t - smallest) // resolution + 1``,
+    so the smallest maps to 1, and every timestamp must lie a multiple of
+    ``resolution`` above the smallest.  Repeated contacts collapse into
+    one.  Self-loops are rejected unless ``on_self_loop`` is "skip".  Each
+    line is split once; contacts are deduplicated in input order, so
+    sorted input stays cheap to sort.
     """
     if on_self_loop not in ("error", "skip"):
         raise ValueError(f"unknown self-loop policy {on_self_loop!r}")
+    if resolution < 1:
+        raise ValueError("resolution must be a positive integer")
     t_col, u_col, v_col = column_spec
     need = max(column_spec) + 1
-    raw: list[tuple[int, str, str]] = []
+    times: list[int] = []
+    heads: list[str] = []
+    tails: list[str] = []
+    line_nos: list[int] = []  # the file line of each kept contact
     self_loops = 0
     for line_no, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
@@ -83,44 +91,32 @@ def parse_edge_list(
             if on_self_loop == "error":
                 raise EdgeListParseError(f"self-loop on vertex {a!r}", line_no)
             continue
-        raw.append((t, a, b))
+        times.append(t)
+        heads.append(a)
+        tails.append(b)
+        line_nos.append(line_no)
     if self_loops:
         import logging  # here, not at the top: it adds to every start-up
 
         logging.getLogger(__name__).warning("skipped %d self-loop edge(s)", self_loops)
-    if not raw:
+    if not times:
         raise EdgeListParseError("empty input")
 
-    times, heads, tails = zip(*raw)
+    smallest = min(times)
+    for t, line_no in zip(times, line_nos):
+        if (t - smallest) % resolution:
+            raise EdgeListParseError(
+                f"timestamp {t} is not aligned to resolution {resolution}", line_no
+            )
     labels = tuple(sorted({*heads, *tails}))
     index = {name: i for i, name in enumerate(labels)}
-    shift = min(times) - 1
     contacts: dict[tuple[int, int, int], None] = {}
-    for t, a, b in raw:
-        u, v = index[a], index[b]
-        contacts[(t - shift, u, v) if u < v else (t - shift, v, u)] = None
+    name_index = index.__getitem__
+    for t, u, v in zip(times, map(name_index, heads), map(name_index, tails)):
+        t = (t - smallest) // resolution + 1
+        contacts[(t, u, v) if u < v else (t, v, u)] = None
     edges = tuple(sorted(contacts))
     return TemporalGraph(labels, edges, edges[-1][0])
-
-
-def normalize_timestamps(graph: TemporalGraph, resolution: int) -> TemporalGraph:
-    """Rescale timestamps to step size 1: t -> (t - min) / resolution + 1.
-
-    ``resolution`` must divide every shifted timestamp.
-    """
-    if resolution < 1:
-        raise ValueError("resolution must be a positive integer")
-    t_min = min(t for t, _, _ in graph.edges)
-    edges = []
-    for t, u, v in graph.edges:
-        shifted = t - t_min
-        if shifted % resolution:
-            raise EdgeListParseError(
-                f"timestamp {t} is not aligned to resolution {resolution}"
-            )
-        edges.append((shifted // resolution + 1, u, v))
-    edges = tuple(sorted(set(edges)))
-    return TemporalGraph(graph.labels, edges, max(t for t, _, _ in edges))
 
 
 class FrameDomain(NamedTuple):
@@ -206,15 +202,21 @@ class NonNeighborhoodIndex:
         }
 
     def runs(self, frames: int) -> Iterator[tuple[int, Interval]]:
-        """Each maximal run of ``frames``: its segment mask and frame interval."""
-        starts = self._starts
+        """Each maximal run of ``frames``: its segment mask and frame interval.
+
+        The runs are found from the top down, so ``frames`` narrows as they
+        go and no operation builds a negative int; they come out ascending.
+        """
+        starts, last = self._starts, self.frame_domain.last_frame
+        found = []
         while frames:
-            low = frames & -frames
-            run = frames & ~(frames + low)
+            hi = frames.bit_length()
+            lo = (frames ^ ((1 << hi) - 1)).bit_length()  # above the top gap
+            run = (1 << hi) - (1 << lo)
             frames ^= run
-            hi = run.bit_length()
-            end = starts[hi] - 1 if hi < len(starts) else self.frame_domain.last_frame
-            yield run, Interval(starts[low.bit_length() - 1], end)
+            end = starts[hi] - 1 if hi < len(starts) else last
+            found.append((run, Interval(starts[lo], end)))
+        return reversed(found)
 
     def frame_set(self, frames: int) -> IntervalSet:
         """The frame intervals of a segment bitset."""

@@ -30,21 +30,19 @@ def select_pivot(
     pivot suppresses at most |candidates| - 1 vertices and an excluded one
     at most |candidates|.
     """
-    entries = dict(excluded)
-    entries.update(candidates)
-    members = tuple(members)
-    rows, full = index.rows, index.full
+    # an eligible pivot extends the plex on every lifetime frame, so its
+    # entry is exactly the lifetimes
+    pivots = [p for p, ip in excluded.items() if ip == lifetimes]
     # the last excluded vertex that could pivot: from it on, no later vertex
     # can beat a suppressed set of |candidates| - 1
-    last_excluded = max(
-        (p for p, ip in excluded.items() if ip == lifetimes), default=-1
-    )
+    last_excluded = max(pivots, default=-1)
+    pivots += [p for p, ip in candidates.items() if ip == lifetimes]
+    if not pivots:
+        return None
+    members = tuple(members)
+    rows, full = index.rows, index.full
     best: tuple[int, frozenset[int]] | None = None
-    for p in sorted(entries):
-        # an eligible pivot extends the plex on every lifetime frame, so its
-        # entry is exactly the lifetimes: any other entry fails the check below
-        if entries[p] != lifetimes:
-            continue
+    for p in sorted(pivots):
         row = rows[p]
         if any(lifetimes & row.get(c, full) for c in members):
             continue
@@ -82,6 +80,6 @@ def connected_candidates(
         if not window:
             continue
         row = rows[w]
-        if any(window & ~row.get(c, full) for c in members):
+        if any(window & row.get(c, full) != window for c in members):
             out[w] = iw
     return out

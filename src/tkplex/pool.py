@@ -13,8 +13,9 @@ class Pool:
     dict, so copies taken before an increment stay valid.
 
     No count passes k, because no increment touches a segment whose count
-    is already k: the search strips an entry's frames where its count
-    reaches k, and where a member at count k is a non-neighbor.
+    is already k: the search strips an entry's frames where a member at
+    count k is a non-neighbor before it counts the entry, and the frames
+    where the entry's own count reaches k after.
     """
 
     __slots__ = ("_lower", "_top")
@@ -49,4 +50,4 @@ class Pool:
                 return 0
         top = self._top.get(vertex, 0)
         self._top[vertex] = top | carry
-        return carry & ~top
+        return carry ^ (carry & top)

@@ -163,15 +163,15 @@ def update_candidates(
     pair: tuple[int, int],
     index: NonNeighborhoodIndex,
 ) -> PairSet:
-    """Count the new vertex for candidate (or excluded) entries and shrink them.
+    """Shrink candidate (or excluded) entries, then count the new vertex for them.
 
-    Each entry is cut to the new lifetime (v's frames) before its count goes
-    up in ``pool`` on the frames where v is a non-neighbor: no later call
-    reads a count outside its entry's frames.  A surviving entry keeps
-    exactly the frames where its vertex still extends the plex
-    time-maximally: stripped of frames where a critical member of the plex
-    (a blocker), or the entry itself, is a non-neighbor.  An entry for v is
-    dropped.
+    Each entry is cut to the new lifetime (v's frames) and stripped of the
+    frames where a critical member of the plex (a blocker) is a
+    non-neighbor.  Only then does its count go up in ``pool``, on the frames
+    left where v is a non-neighbor, and the frames where that count reaches
+    k go too.  Entries only shrink, so no later call reads a count outside
+    them.  A surviving entry keeps exactly the frames where its vertex
+    still extends the plex time-maximally.  An entry for v is dropped.
     """
     v, iv = pair
     row, full = index.rows[v], index.full
@@ -181,15 +181,15 @@ def update_candidates(
         if w == v:
             continue
         iw &= iv
+        for blocked, blocker_row in blockers:
+            if not iw:
+                break
+            iw ^= iw & blocked & blocker_row.get(w, full)
         if not iw:
             continue
         frames = iw & row.get(w, full)
         if frames:  # its self-row is full: its own critical frames block it
-            iw &= ~increment(w, frames)
-        for blocked, blocker_row in blockers:
-            if not iw:
-                break
-            iw &= ~(blocked & blocker_row.get(w, full))
+            iw ^= increment(w, frames)
         if iw:
             out[w] = iw
     return out
@@ -281,20 +281,19 @@ def enumerate_maximal_plexes(
             return
         eligible = None
         if config.connectedness and members:
-            eligible = set(
-                connected_candidates(candidates, members, lifetimes, index)
-            )
+            eligible = connected_candidates(candidates, members, lifetimes, index)
             if not eligible:
                 return
         pivot = select_pivot(members, lifetimes, candidates, excluded, index)
-        suppressed = frozenset() if pivot is None else pivot[1]
+        branches = candidates.keys() - pivot[1] if pivot else candidates.keys()
+        # every plex below holds a vertex the pivot leaves and an eligible
+        # one, not always the same vertex: each set alone reaches them all,
+        # so branch on the smaller, never on the two sets' intersection
+        if eligible is not None and len(eligible) < len(branches):
+            branches = eligible
         remaining = dict(candidates)
         tried = dict(excluded)
-        for v in sorted(candidates):
-            if v in suppressed:
-                continue
-            if eligible is not None and v not in eligible:
-                continue
+        for v in sorted(branches):
             iv = remaining[v]
             grown = members + (v,)
             pool2, blockers = update_pool(pool, grown, (v, iv), index)
@@ -308,7 +307,9 @@ def enumerate_maximal_plexes(
             del remaining[v]
             tried[v] = iv
 
-    args = ({v: f for v, f in enumerate(roots) if f}, (), full, {}, Pool(config.k))
+    # counts stop at the plex order, at most n, so n + 1 levels act as k
+    pool = Pool(min(config.k, graph.vertex_count + 1))
+    args = ({v: f for v, f in enumerate(roots) if f}, (), full, {}, pool)
     stack = []
     while args is not None or stack:
         if args is not None:

@@ -74,18 +74,18 @@ def test_traced_run_reports_every_layer_metric(tmp_path, capsys, extra):
 
 # (recursive_calls, plex_count, Pool.increment calls, sha256 of the output
 # file) at seed 1; the search counts an entry only inside its cut to the
-# new lifetime, the frames a later call can read
+# new lifetime, after the blockers, on the frames a later call can read
 WORKLOAD_PINS = {
     "clique-long": (
-        822, 6036, 2717,
+        822, 6036, 821,
         "836d487e6ee667e9bb22bbe69310f6a062769b429c55acc884881e565ec8b3c1",
     ),
     "plex-window": (
-        3601, 5910, 36418,
+        3601, 5910, 18798,
         "42ddcceeafdca8fe095f7bb2f80eca5e59f94d6ea1b3cf83756d5c8629228146",
     ),
     "community-connected": (
-        79, 4, 670,
+        170, 4, 1858,
         "cddc2238505a94bb31b0cfeeb54d6b89c49fe072a297c6edc21f4b8645c53986",
     ),
 }

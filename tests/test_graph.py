@@ -10,7 +10,6 @@ from tkplex.graph import (
     TemporalGraph,
     core_frames,
     delta_slice_degeneracy,
-    normalize_timestamps,
     parse_edge_list,
     plex_count_upper_bound,
 )
@@ -115,32 +114,30 @@ class TestParseEdgeList:
             ("x a b", "bad timestamp 'x'"),
             ("-3 a b", "negative timestamp -3"),
             ("7 c c", "self-loop on vertex 'c'"),
+            ("30 a c", "timestamp 30 is not aligned to resolution 20"),
         ],
     )
     def test_error_line_counts_blank_and_comment_lines(self, bad_line, message):
-        text = "1 a b\n\n# comment\n   \n2 b c\n" + bad_line + "\n3 a c\n"
+        text = "20 a b\n\n# comment\n   \n40 b c\n" + bad_line + "\n60 a c\n"
         with pytest.raises(EdgeListParseError, match=f"^line 6: {message}") as info:
-            parse_edge_list(text)
+            parse_edge_list(text, resolution=20)
         assert info.value.line_no == 6
 
 
 class TestNormalizeTimestamps:
     def test_rescale(self):
-        graph = parse_edge_list("1000 a b\n1020 b c\n1040 a c\n")
-        out = normalize_timestamps(graph, 20)
+        out = parse_edge_list("1000 a b\n1020 b c\n1040 a c\n", resolution=20)
         assert [t for t, _, _ in out.edges] == [1, 2, 3]
         assert out.lifetime == 3
 
     def test_shift_only(self):
-        graph = parse_edge_list("5 a b\n5 b c\n9 a c\n")
-        out = normalize_timestamps(graph, 1)
+        out = parse_edge_list("5 a b\n5 b c\n9 a c\n", resolution=1)
         assert sorted(t for t, _, _ in out.edges) == [1, 1, 5]
         assert out.lifetime == 5
 
     def test_misaligned_rejected(self):
-        graph = parse_edge_list("0 a b\n30 b c\n")
         with pytest.raises(EdgeListParseError, match="resolution"):
-            normalize_timestamps(graph, 20)
+            parse_edge_list("0 a b\n30 b c\n", resolution=20)
 
 
 class TestFrameDomain:

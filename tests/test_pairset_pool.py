@@ -46,6 +46,14 @@ class TestPool:
         assert pool.increment(0, 0b00110) == 0b00110
         assert counts(pool, 0, 5) == [1, 2, 2, 1, 1]
 
+    def test_segments_already_at_k_are_not_reported_again(self):
+        # tests/test_pool_invariant.py raises a copy k times and relies on this
+        pool = Pool(2)
+        pool.increment(0, 0b00111)
+        assert pool.increment(0, 0b00011) == 0b00011
+        assert pool.increment(0, 0b01111) == 0b00100
+        assert counts(pool, 0, 5) == [2, 2, 2, 1, 0]
+
     def test_copy_isolated_from_later_increments(self):
         pool = Pool(3)
         pool.increment(0, 0b0011)

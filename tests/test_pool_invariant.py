@@ -2,9 +2,10 @@
 
 ``Pool`` keeps only k levels per vertex, so a count above k cannot be
 stored.  The search never asks for one: it strips an entry's frames where
-the entry's count reaches k, and where a member at k is a non-neighbor.
-These tests watch every increment of real runs and fail on the first one
-that would raise a count past k.
+a member at k is a non-neighbor before it counts the entry, and the frames
+where the entry's own count reaches k after.  These tests watch every
+increment of real runs and fail on the first one that would raise a count
+past k.
 """
 
 import sys

@@ -109,13 +109,11 @@ class TestUpdatePool:
         [(hits, row)] = blockers
         assert frame_set(fig1_index, hits) == iset((1, 5))
         assert row is fig1_index.rows[0]
-        # an entry is critical where its count reaches k; those frames go
+        # the blocker strips each entry where the member is a non-neighbor,
+        # before the entry is counted, so those frames go uncounted
         seg = fig1_index.segment
         for w, critical in ((1, iset((3, 4))), (2, iset((1, 2)))):
-            at_k = IntervalSet.from_points(
-                t for t in range(1, 6) if pool.count(w, seg(t)) == 1
-            )
-            assert at_k == critical
+            assert all(pool.count(w, seg(t)) == 0 for t in range(1, 6))
             assert not frame_set(fig1_index, out[w]).intersect(critical)
 
     def test_input_pool_untouched(self, fig1_index):
@@ -254,6 +252,38 @@ class TestEnumerate:
         monkeypatch.setattr("tkplex.search.NonNeighborhoodIndex", SlowIndex)
         _, stats = collect_maximal_plexes(fig1_graph, SearchConfig(delta=1, k=2))
         assert stats.wall_time_seconds >= 0.05
+
+    def test_k_above_vertex_count_builds_at_most_n_plus_one_levels(self, monkeypatch):
+        graph = random_temporal_graph(random.Random(4), n=6, omega=8, density=0.4)
+        n = graph.vertex_count
+        levels = []
+
+        class CountedPool(Pool):
+            def __init__(self, k):
+                levels.append(k)
+                super().__init__(k)
+
+        monkeypatch.setattr("tkplex.search.Pool", CountedPool)
+        huge, _ = collect_maximal_plexes(graph, SearchConfig(delta=1, k=10**6))
+        assert levels == [n + 1]
+        assert huge == collect_maximal_plexes(graph, SearchConfig(delta=1, k=n + 1))[0]
+
+    def test_pivot_and_connectedness_filter_together_miss_no_plex(self):
+        # at plex (b,): pivot a (excluded) leaves only e, which has no edge
+        # to b, and suppresses c, d and g; {b, c, d, e, g} needs e and one
+        # of them
+        edges = (
+            (1, 0, 2), (1, 0, 4), (1, 0, 5), (1, 1, 2), (1, 1, 5), (1, 1, 6),
+            (1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (2, 0, 1), (2, 0, 2),
+            (2, 0, 3), (2, 0, 5), (2, 0, 6), (2, 1, 2), (2, 1, 3), (2, 1, 6),
+            (2, 2, 4), (2, 2, 5), (2, 2, 6), (2, 3, 4), (2, 3, 6), (2, 4, 6),
+            (2, 5, 6),
+        )
+        graph = TemporalGraph(tuple("abcdefg"), edges, 2)
+        records, _ = collect_maximal_plexes(graph, SearchConfig(0, 2, True))
+        truth = enumerate_all_maximal(graph, 0, 2).as_set()
+        assert PlexRecord((1, 2, 3, 4, 6), Interval(2, 2)) in truth
+        assert _as_set(records) == {r for r in truth if len(r.vertices) > 4}
 
     def test_delta_too_large_rejected(self, fig1_graph):
         with pytest.raises(ValueError, match="too large"):
