@@ -49,8 +49,9 @@ def _load_graph(args: argparse.Namespace) -> TemporalGraph:
         columns = tuple(int(c) for c in args.columns.split(","))
     except ValueError:
         columns = ()
-    if len(columns) != 3 or min(columns) < 0:
-        raise _CliError("--columns needs three non-negative indices", EXIT_PARAMETER)
+    if len(set(columns)) != 3 or min(columns) < 0:
+        message = "--columns needs three distinct non-negative indices"
+        raise _CliError(message, EXIT_PARAMETER)
     try:
         graph = parse_edge_list(
             text,

@@ -49,9 +49,9 @@ def parse_edge_list(
 ) -> TemporalGraph:
     """Build a graph from whitespace-separated edge lines.
 
-    ``column_spec`` gives the (timestamp, vertex, vertex) column indices;
-    extra columns are ignored and a line whose first field starts with '#'
-    is a comment.  Timestamps map to ``(t - smallest) // resolution + 1``,
+    ``column_spec`` gives three distinct (timestamp, vertex, vertex) column
+    indices; extra columns are ignored and a line whose first field starts
+    with '#' is a comment.  Timestamps map to ``(t - smallest) // resolution + 1``,
     so the smallest maps to 1, and every timestamp must lie a multiple of
     ``resolution`` above the smallest.  Repeated contacts collapse into
     one.  Self-loops are rejected unless ``on_self_loop`` is "skip".  Each
@@ -62,6 +62,8 @@ def parse_edge_list(
         raise ValueError(f"unknown self-loop policy {on_self_loop!r}")
     if resolution < 1:
         raise ValueError("resolution must be a positive integer")
+    if len(set(column_spec)) != 3:
+        raise ValueError("column_spec needs three distinct indices")
     t_col, u_col, v_col = column_spec
     need = max(column_spec) + 1
     times: list[int] = []
@@ -262,46 +264,43 @@ def segment_snapshots(
         yield adjacency
 
 
-def _core_numbers(adjacency: dict[int, dict[int, int]]) -> dict[int, int]:
-    """Each vertex's core number, by bucket-queue minimum-degree peeling.
+def _peel(
+    adjacency: dict[int, dict[int, int]], order: int, degree: dict[int, int]
+) -> dict[int, int]:
+    """The order-core of a snapshot, with each survivor's degree inside it.
 
-    A vertex's core number is the largest degree at which any vertex up to
-    and including it was peeled; the degeneracy is the largest of them.
+    ``degree`` holds the live degree of every vertex still in play; the
+    vertices whose live degree is below ``order`` go, their neighbours lose
+    one each, and so on until none is left.  ``degree`` is peeled in place
+    and returned, so peeling it again at a higher order goes on from there.
     """
-    degree = {v: len(nb) for v, nb in adjacency.items()}
-    if not degree:
-        return {}
-    max_deg = max(degree.values())
-    buckets: list[set[int]] = [set() for _ in range(max_deg + 1)]
-    for v, d in degree.items():
-        buckets[d].add(v)
-    core: dict[int, int] = {}
-    best = 0
-    cursor = 0
-    for _ in range(len(adjacency)):
-        while not buckets[cursor]:
-            cursor += 1
-        v = buckets[cursor].pop()
-        best = max(best, cursor)
-        core[v] = best
-        for w in adjacency[v]:
-            if w in core:
-                continue
-            d = degree[w]
-            buckets[d].discard(w)
-            degree[w] = d - 1
-            buckets[d - 1].add(w)
-        cursor = max(0, cursor - 1)
-    return core
+    weak = [v for v, d in degree.items() if d < order]
+    for v in weak:
+        del degree[v]
+    while weak:
+        for w in adjacency[weak.pop()]:
+            d = degree.get(w)
+            if d == order:  # its last spare neighbour goes
+                del degree[w]
+                weak.append(w)
+            elif d is not None:
+                degree[w] = d - 1
+    return degree
 
 
 def delta_slice_degeneracy(graph: TemporalGraph, fd: FrameDomain) -> int:
-    """Maximum static degeneracy over all frame snapshot graphs."""
-    return max(
-        (max(_core_numbers(adjacency).values(), default=0)
-         for adjacency in segment_snapshots(graph, fd)),
-        default=0,
-    )
+    """Maximum static degeneracy over all frame snapshot graphs.
+
+    A snapshot whose (best + 1)-core is empty cannot raise the maximum
+    ``best``, so it costs one peel; one that can is peeled on, one order at
+    a time, until its core empties.
+    """
+    best = 0
+    for adjacency in segment_snapshots(graph, fd):
+        degree = {v: len(row) for v, row in adjacency.items()}
+        while _peel(adjacency, best + 1, degree):
+            best += 1
+    return best
 
 
 def core_frames(graph: TemporalGraph, fd: FrameDomain, order: int) -> list[int]:
@@ -312,9 +311,9 @@ def core_frames(graph: TemporalGraph, fd: FrameDomain, order: int) -> list[int]:
     """
     frames = [0] * graph.vertex_count
     for i, adjacency in enumerate(segment_snapshots(graph, fd)):
-        for v, core in _core_numbers(adjacency).items():
-            if core >= order:
-                frames[v] |= 1 << i
+        degree = {v: len(row) for v, row in adjacency.items()}
+        for v in _peel(adjacency, order, degree):
+            frames[v] |= 1 << i
     return frames
 
 

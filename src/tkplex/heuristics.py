@@ -69,6 +69,8 @@ def connected_candidates(
 
     With an empty plex every candidate qualifies.  An empty result means the
     current call cannot grow into a connected plex and may stop early.
+    The search cuts every entry to its call's ``lifetimes``, so an entry is
+    tested as it stands.
     """
     members = tuple(members)
     if not members:
@@ -76,10 +78,7 @@ def connected_candidates(
     rows, full = index.rows, index.full
     out: PairSet = {}
     for w, iw in candidates.items():
-        window = iw & lifetimes
-        if not window:
-            continue
         row = rows[w]
-        if any(window & row.get(c, full) != window for c in members):
+        if any(iw & row.get(c, full) != iw for c in members):
             out[w] = iw
     return out

@@ -21,50 +21,34 @@ from .pairset import PairSet
 from .pool import Pool
 
 
-class _Fields:
-    """``==`` and ``repr`` over ``__slots__``, as a dataclass would add them.
+class _SearchFields(NamedTuple):
+    """The fields of ``SearchConfig``, whose ``__new__`` checks them."""
 
-    Plain classes keep ``dataclasses`` (and the ``inspect`` it imports) off
-    the start-up path of every ``tkplex`` run.
-    """
+    delta: int
+    k: int
+    connectedness: bool = False
+    time_limit: float | None = None
+
+
+class SearchConfig(_SearchFields):
+    """Parameters of one enumeration run, checked when it is built."""
 
     __slots__ = ()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class SearchConfig(_Fields):
-    """Parameters of one enumeration run."""
-
-    __slots__ = ("delta", "k", "connectedness", "time_limit")
-
-    def __init__(
-        self,
+    def __new__(
+        cls,
         delta: int,
         k: int,
         connectedness: bool = False,
         time_limit: float | None = None,
-    ) -> None:
+    ) -> SearchConfig:
         if k < 1:
             raise ValueError("k must be at least 1")
         if delta < 0:
             raise ValueError("delta must be non-negative")
         if time_limit is not None and not time_limit >= 0:  # NaN too
             raise ValueError("time limit must be a non-negative number")
-        self.delta = delta
-        self.k = k
-        self.connectedness = connectedness
-        self.time_limit = time_limit
+        return super().__new__(cls, delta, k, connectedness, time_limit)
 
     @property
     def min_size(self) -> int:
@@ -79,33 +63,17 @@ class PlexRecord(NamedTuple):
     interval: Interval
 
 
-class RunStats(_Fields):
+class RunStats(NamedTuple):
     """Counters and phase timers of one run."""
 
-    __slots__ = (
-        "plex_count", "max_plex_order", "max_lifetime_length", "recursive_calls",
-        "wall_time_seconds", "index_seconds", "search_seconds", "timed_out",
-    )
-
-    def __init__(
-        self,
-        plex_count: int = 0,
-        max_plex_order: int = 0,
-        max_lifetime_length: int = 0,
-        recursive_calls: int = 0,
-        wall_time_seconds: float = 0.0,  # frame domain, index and search
-        index_seconds: float = 0.0,  # non-neighbor index and root core peel
-        search_seconds: float = 0.0,
-        timed_out: bool = False,
-    ) -> None:
-        self.plex_count = plex_count
-        self.max_plex_order = max_plex_order
-        self.max_lifetime_length = max_lifetime_length
-        self.recursive_calls = recursive_calls
-        self.wall_time_seconds = wall_time_seconds
-        self.index_seconds = index_seconds
-        self.search_seconds = search_seconds
-        self.timed_out = timed_out
+    plex_count: int = 0
+    max_plex_order: int = 0
+    max_lifetime_length: int = 0
+    recursive_calls: int = 0
+    wall_time_seconds: float = 0.0  # frame domain, index and search
+    index_seconds: float = 0.0  # non-neighbor index and root core peel
+    search_seconds: float = 0.0
+    timed_out: bool = False
 
 
 class CallMonitor(Protocol):
@@ -249,7 +217,8 @@ def enumerate_maximal_plexes(
     roots = (core_frames(graph, fd, order) if order > 0
              else [full] * graph.vertex_count)
     search_started = time.monotonic()
-    stats = RunStats(index_seconds=search_started - index_started)
+    plex_count = max_plex_order = max_lifetime_length = recursive_calls = 0
+    timed_out = False
     deadline = None if config.time_limit is None else started + config.time_limit
 
     def call(
@@ -260,6 +229,7 @@ def enumerate_maximal_plexes(
         pool: Pool,
     ) -> Iterator[tuple[PairSet, tuple[int, ...], int, PairSet, Pool]]:
         """One call: emit its records, then yield each child call's arguments."""
+        nonlocal plex_count, max_plex_order, max_lifetime_length
         if monitor is not None:
             entries = ({w: index.frame_set(f) for w, f in pairs.items()}
                        for pairs in (candidates, excluded))
@@ -269,10 +239,10 @@ def enumerate_maximal_plexes(
             members, lifetimes, candidates, excluded, index, config.min_size
         )
         if records:
-            stats.plex_count += len(records)
-            stats.max_plex_order = max(stats.max_plex_order, len(members))
-            stats.max_lifetime_length = max(
-                stats.max_lifetime_length, *(r.interval.length() for r in records)
+            plex_count += len(records)
+            max_plex_order = max(max_plex_order, len(members))
+            max_lifetime_length = max(
+                max_lifetime_length, *(r.interval.length() for r in records)
             )
             if sink is not None:
                 for record in records:
@@ -313,18 +283,22 @@ def enumerate_maximal_plexes(
     stack = []
     while args is not None or stack:
         if args is not None:
-            stats.recursive_calls += 1
+            recursive_calls += 1
             if deadline is not None and time.monotonic() > deadline:
-                stats.timed_out = True
+                timed_out = True
                 break
             stack.append(call(*args))
         args = next(stack[-1], None)
         if args is None:
             stack.pop()
     finished = time.monotonic()
-    stats.search_seconds = finished - search_started
-    stats.wall_time_seconds = finished - started
-    return stats
+    return RunStats(
+        plex_count, max_plex_order, max_lifetime_length, recursive_calls,
+        wall_time_seconds=finished - started,
+        index_seconds=search_started - index_started,
+        search_seconds=finished - search_started,
+        timed_out=timed_out,
+    )
 
 
 def collect_maximal_plexes(

@@ -133,6 +133,18 @@ class TestEnumerateCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.parametrize("columns", ["0,1,1", "1,1,2", "2,0,2"])
+    def test_repeated_column_rejected(self, fig1_file, capsys, columns):
+        # not a self-loop or a bad timestamp on line 1: a parameter error
+        code = main(
+            ["enumerate", str(fig1_file), "--columns", columns,
+             "--delta", "1", "--k", "2"]
+        )
+        assert code == EXIT_PARAMETER
+        err = capsys.readouterr().err
+        assert err == "error: --columns needs three distinct non-negative indices\n"
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("flag", ["--output", "--stats"])
     def test_unwritable_path_fails_before_search(
         self, fig1_file, tmp_path, monkeypatch, capsys, flag

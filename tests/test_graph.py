@@ -14,6 +14,7 @@ from tkplex.graph import (
     plex_count_upper_bound,
 )
 from tkplex.intervals import Interval, IntervalSet
+from tkplex.oracle import static_degeneracy
 
 from conftest import (
     edgeless_graph,
@@ -74,6 +75,13 @@ class TestParseEdgeList:
         graph = parse_edge_list("a b 1 junk\nb c 2 junk\n", column_spec=(2, 0, 1))
         assert graph.edge_count == 2
         assert graph.lifetime == 2
+
+    @pytest.mark.parametrize("spec", [(0, 1, 1), (1, 1, 2), (2, 0, 2)])
+    def test_repeated_column_index_rejected(self, spec):
+        # a parameter error, raised before any line is read
+        with pytest.raises(ValueError, match="distinct") as caught:
+            parse_edge_list("1 a b\n", column_spec=spec)
+        assert not isinstance(caught.value, EdgeListParseError)
 
     def test_comments_ignored(self, fig1_text):
         graph = parse_edge_list("# header\n" + fig1_text)
@@ -227,6 +235,16 @@ class TestNonNeighborhoodIndex:
                     assert frame_set(index, neighbor) == covered
 
 
+def naive_snapshot(graph: TemporalGraph, delta: int, i: int) -> dict[int, set[int]]:
+    """Frame i's window snapshot, every vertex included, from the raw edges."""
+    adjacency: dict[int, set[int]] = {v: set() for v in range(graph.vertex_count)}
+    for t, u, v in graph.edges:
+        if i <= t <= i + delta:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+    return adjacency
+
+
 class TestDegeneracy:
     def test_fixture_delta_one(self, fig1_graph):
         fd = FrameDomain.for_graph(fig1_graph, 1)
@@ -252,6 +270,28 @@ class TestDegeneracy:
             ]
             assert values == sorted(values)
 
+    @pytest.mark.parametrize("delta", [0, 1, 2])
+    def test_matches_naive_per_frame_degeneracy(self, delta):
+        # narrow windows, where the snapshots differ most; in many graphs a
+        # later snapshot raises a positive maximum, so the peel goes on
+        # from an order above 1 there
+        rng = random.Random(40 + delta)
+        raised_later = 0
+        for _ in range(120):
+            graph = random_temporal_graph(
+                rng, rng.randint(2, 8), 8, rng.uniform(0.1, 0.6)
+            )
+            per_frame = [
+                static_degeneracy(naive_snapshot(graph, delta, i))
+                for i in range(1, graph.lifetime - delta + 1)
+            ]
+            fd = FrameDomain.for_graph(graph, delta)
+            assert delta_slice_degeneracy(graph, fd) == max(per_frame)
+            raised_later += any(
+                0 < max(per_frame[:i]) < d for i, d in enumerate(per_frame) if i
+            )
+        assert raised_later >= 10
+
     def test_long_sparse_lifetime(self):
         # one peel per segment, not per frame: three contacts over 10^9 steps
         graph = parse_edge_list("1 a b\n2 b c\n1000000000 a c\n")
@@ -262,11 +302,7 @@ def naive_core_frames(graph: TemporalGraph, delta: int, order: int) -> list[set[
     """Per vertex, the frames whose window snapshot's order-core holds it."""
     frames: list[set[int]] = [set() for _ in range(graph.vertex_count)]
     for i in range(1, graph.lifetime - delta + 1):
-        adjacency: dict[int, set[int]] = {v: set() for v in range(graph.vertex_count)}
-        for t, u, v in graph.edges:
-            if i <= t <= i + delta:
-                adjacency[u].add(v)
-                adjacency[v].add(u)
+        adjacency = naive_snapshot(graph, delta, i)
         alive = set(adjacency)
         while weak := {v for v in alive if len(adjacency[v] & alive) < order}:
             alive -= weak
