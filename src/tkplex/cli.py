@@ -7,7 +7,7 @@ import argparse
 import os
 import sys
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from typing import TextIO
 
 from .graph import (
@@ -308,6 +308,12 @@ def main(argv: list[str] | None = None) -> int:
         # failed, and stdout goes to devnull so the exit flush cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
+    except OSError as exc:  # a write failed, on a full disk say
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        with suppress(OSError):  # what a healthy stdout got stays whole
+            sys.stdout.flush()
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PARAMETER
 
 
 if __name__ == "__main__":

@@ -49,21 +49,22 @@ def parse_edge_list(
 ) -> TemporalGraph:
     """Build a graph from whitespace-separated edge lines.
 
-    ``column_spec`` gives three distinct (timestamp, vertex, vertex) column
-    indices; extra columns are ignored and a line whose first field starts
-    with '#' is a comment.  Timestamps map to ``(t - smallest) // resolution + 1``,
-    so the smallest maps to 1, and every timestamp must lie a multiple of
-    ``resolution`` above the smallest.  Repeated contacts collapse into
-    one.  Self-loops are rejected unless ``on_self_loop`` is "skip".  Each
-    line is split once; contacts are deduplicated in input order, so
-    sorted input stays cheap to sort.
+    ``column_spec`` gives three distinct non-negative (timestamp, vertex,
+    vertex) column indices; extra columns are ignored and a line whose
+    first field starts with '#' is a comment.  Timestamps map to
+    ``(t - smallest) // resolution + 1``, so the smallest maps to 1, and
+    every timestamp must lie a multiple of ``resolution`` above the
+    smallest.  Repeated contacts collapse into one.  Self-loops are
+    rejected unless ``on_self_loop`` is "skip".  Each line is split once;
+    contacts are deduplicated in input order, so sorted input stays cheap
+    to sort.
     """
     if on_self_loop not in ("error", "skip"):
         raise ValueError(f"unknown self-loop policy {on_self_loop!r}")
     if resolution < 1:
         raise ValueError("resolution must be a positive integer")
-    if len(set(column_spec)) != 3:
-        raise ValueError("column_spec needs three distinct indices")
+    if len(set(column_spec)) != 3 or min(column_spec) < 0:
+        raise ValueError("column_spec needs three distinct non-negative indices")
     t_col, u_col, v_col = column_spec
     need = max(column_spec) + 1
     times: list[int] = []
@@ -321,4 +322,6 @@ def plex_count_upper_bound(n: int, k: int, d: int, m: int, lifetime: int) -> int
     """n * C(n, k) * 2^(d+k) * min(m, lifetime), exactly."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
+    if k > n:  # C(n, k) = 0: decided before 2^(d+k) is taken
+        return 0
     return n * math.comb(n, k) * 2 ** (d + k) * min(m, lifetime)

@@ -1,17 +1,15 @@
 """Search pruning: pivot suppression, applied in every call, and the optional
-connectedness candidate filter.  Both are pure decision functions; the
-enumerator applies their verdicts without mutating its candidate sets."""
+connectedness candidate filter.  Both are pure decision functions, and the
+enumerator applies their verdicts."""
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from .graph import NonNeighborhoodIndex
 from .pairset import PairSet
 
 
 def select_pivot(
-    members: Iterable[int],
+    members: tuple[int, ...],
     lifetimes: int,
     candidates: PairSet,
     excluded: PairSet,
@@ -39,7 +37,6 @@ def select_pivot(
     pivots += [p for p, ip in candidates.items() if ip == lifetimes]
     if not pivots:
         return None
-    members = tuple(members)
     rows, full = index.rows, index.full
     best: tuple[int, frozenset[int]] | None = None
     for p in sorted(pivots):
@@ -61,18 +58,16 @@ def select_pivot(
 
 def connected_candidates(
     candidates: PairSet,
-    members: Iterable[int],
-    lifetimes: int,
+    members: tuple[int, ...],
     index: NonNeighborhoodIndex,
 ) -> PairSet:
     """Candidates with an edge to some plex member inside a shared frame.
 
     With an empty plex every candidate qualifies.  An empty result means the
     current call cannot grow into a connected plex and may stop early.
-    The search cuts every entry to its call's ``lifetimes``, so an entry is
+    The search cuts every entry to its call's lifetimes, so an entry is
     tested as it stands.
     """
-    members = tuple(members)
     if not members:
         return dict(candidates)
     rows, full = index.rows, index.full

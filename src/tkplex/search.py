@@ -139,15 +139,13 @@ def update_candidates(
     left where v is a non-neighbor, and the frames where that count reaches
     k go too.  Entries only shrink, so no later call reads a count outside
     them.  A surviving entry keeps exactly the frames where its vertex
-    still extends the plex time-maximally.  An entry for v is dropped.
+    still extends the plex time-maximally.  The source holds no entry for v.
     """
     v, iv = pair
     row, full = index.rows[v], index.full
     increment = pool.increment
     out: PairSet = {}
     for w, iw in source.items():
-        if w == v:
-            continue
         iw &= iv
         for blocked, blocker_row in blockers:
             if not iw:
@@ -251,7 +249,7 @@ def enumerate_maximal_plexes(
             return
         eligible = None
         if config.connectedness and members:
-            eligible = connected_candidates(candidates, members, lifetimes, index)
+            eligible = connected_candidates(candidates, members, index)
             if not eligible:
                 return
         pivot = select_pivot(members, lifetimes, candidates, excluded, index)
@@ -261,21 +259,18 @@ def enumerate_maximal_plexes(
         # so branch on the smaller, never on the two sets' intersection
         if eligible is not None and len(eligible) < len(branches):
             branches = eligible
-        remaining = dict(candidates)
-        tried = dict(excluded)
         for v in sorted(branches):
-            iv = remaining[v]
+            iv = candidates.pop(v)  # no other call holds either dict
             grown = members + (v,)
             pool2, blockers = update_pool(pool, grown, (v, iv), index)
             yield (
-                update_candidates(remaining, pool2, blockers, (v, iv), index),
+                update_candidates(candidates, pool2, blockers, (v, iv), index),
                 grown,
                 iv,
-                update_candidates(tried, pool2, blockers, (v, iv), index),
+                update_candidates(excluded, pool2, blockers, (v, iv), index),
                 pool2,
             )
-            del remaining[v]
-            tried[v] = iv
+            excluded[v] = iv
 
     # counts stop at the plex order, at most n, so n + 1 levels act as k
     pool = Pool(min(config.k, graph.vertex_count + 1))

@@ -328,6 +328,52 @@ class TestDegeneracyCommand:
         assert "delta=0 slice_degeneracy=1" in capsys.readouterr().out.splitlines()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestWriteFailure:
+    """A write that fails, here on a device that is always full, ends in
+    exit 2 and one ``error:`` line, not in a traceback."""
+
+    def run(self, args, stdout):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, by default
+        with open(stdout, "w") as out:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tkplex.cli", *args], env=env,
+                stdout=out, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        err = proc.stderr.splitlines()
+        assert proc.returncode == EXIT_PARAMETER, err
+        # a stats table on stderr may come first; the error line comes last
+        assert [line for line in err if "error" in line.lower()] == err[-1:], err
+        assert err[-1].startswith("error: cannot write "), err
+        assert not any("Traceback" in line or "Exception" in line for line in err)
+        return err
+
+    @pytest.mark.parametrize(
+        "command, extra, stdout",
+        [
+            ("enumerate", ["--k", "2", "--output", "/dev/full"], None),
+            ("enumerate", ["--k", "2"], "/dev/full"),
+            ("degeneracy", [], "/dev/full"),
+        ],
+        ids=["output", "stdout", "degeneracy-stdout"],
+    )
+    def test_one_error_line(self, fig1_file, tmp_path, command, extra, stdout):
+        args = [command, str(fig1_file), "--delta", "1", *extra]
+        err = self.run(args, stdout or tmp_path / "stdout.txt")
+        if command == "degeneracy" or stdout is None:  # no table on stderr
+            assert len(err) == 1
+
+    def test_failed_stats_file_leaves_stdout_whole(self, fig1_file, tmp_path):
+        args = ["enumerate", str(fig1_file), "--delta", "1", "--k", "2"]
+        out = tmp_path / "stdout.txt"
+        self.run([*args, "--stats", "/dev/full"], out)
+        records = tmp_path / "records.txt"
+        assert main([*args, "--output", str(records)]) == EXIT_OK
+        assert out.read_text() == records.read_text()
+
+
 class TestOracleCommand:
     def test_enumerator_output_verifies(self, fig1_file, tmp_path, capsys):
         _, out = run_enumerate(fig1_file, tmp_path)

@@ -1,5 +1,6 @@
 import logging
 import random
+import time
 
 import pytest
 
@@ -76,7 +77,11 @@ class TestParseEdgeList:
         assert graph.edge_count == 2
         assert graph.lifetime == 2
 
-    @pytest.mark.parametrize("spec", [(0, 1, 1), (1, 1, 2), (2, 0, 2)])
+    # a negative index would count from the end of the line: (2, 0, -1)
+    # reads column 2 of "a b 5" as the timestamp and as a vertex
+    @pytest.mark.parametrize(
+        "spec", [(0, 1, 1), (1, 1, 2), (2, 0, 2), (2, 0, -1), (-1, 0, 1)]
+    )
     def test_repeated_column_index_rejected(self, spec):
         # a parameter error, raised before any line is read
         with pytest.raises(ValueError, match="distinct") as caught:
@@ -354,6 +359,12 @@ class TestPlexCountUpperBound:
         assert plex_count_upper_bound(3, 2, 2, 7, 6) == 864
         assert plex_count_upper_bound(1, 1, 0, 0, 1) == 0
         assert plex_count_upper_bound(4, 1, 1, 3, 10) == 192
+
+    def test_k_above_n_is_zero_without_the_power(self):
+        # C(n, k) = 0, so 2^(d+k), a billion-bit int here, is never taken
+        started = time.monotonic()
+        assert plex_count_upper_bound(3, 10**9, 2, 7, 6) == 0
+        assert time.monotonic() - started < 1
 
     def test_rejects_degenerate_parameters(self):
         with pytest.raises(ValueError):

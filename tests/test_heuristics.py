@@ -140,14 +140,14 @@ class TestConnectedCandidates:
         fd = FrameDomain.for_graph(fig1_graph, 1)
         index = NonNeighborhoodIndex(fig1_graph, fd)
         full = index.full
-        got = connected_candidates({1: full, 2: full}, (0,), full, index)
+        got = connected_candidates({1: full, 2: full}, (0,), index)
         assert set(got) == {1, 2}
 
     def test_empty_plex_keeps_everything(self, fig1_graph):
         fd = FrameDomain.for_graph(fig1_graph, 1)
         index = NonNeighborhoodIndex(fig1_graph, fd)
         candidates = {1: index.full}
-        assert connected_candidates(candidates, (), index.full, index) == candidates
+        assert connected_candidates(candidates, (), index) == candidates
 
     def test_candidate_without_shared_frame_drops(self, fig1_graph):
         fd = FrameDomain.for_graph(fig1_graph, 1)
@@ -155,7 +155,7 @@ class TestConnectedCandidates:
         # a and c share edges only at t=4 and t=6 (frames 3-5): restricted
         # to frames [1,2], c has no connection to the plex {a}
         got = connected_candidates(
-            {2: frame_bits(index, (1, 2))}, (0,), index.full, index
+            {2: frame_bits(index, (1, 2))}, (0,), index
         )
         assert got == {}
 

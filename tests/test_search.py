@@ -37,7 +37,11 @@ from conftest import (
     frame_set,
     random_temporal_graph,
     scale_graph,
+    sweep_corpus,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
 
 
 def iset(*pairs) -> IntervalSet:
@@ -88,7 +92,7 @@ def grow_by_a(index, k):
     ``update_pool`` counts the members, ``update_candidates`` the entries.
     """
     full = index.full
-    root = {0: full, 1: full, 2: full}
+    root = {1: full, 2: full}
     pool, blockers = update_pool(Pool(k), (0,), (0, full), index)
     out = update_candidates(root, pool, blockers, (0, full), index)
     return pool, blockers, out
@@ -120,7 +124,7 @@ class TestUpdatePool:
         full = fig1_index.full
         pool = Pool(2)
         pool2, blockers = update_pool(pool, (0,), (0, full), fig1_index)
-        update_candidates({0: full, 1: full}, pool2, blockers, (0, full), fig1_index)
+        update_candidates({1: full}, pool2, blockers, (0, full), fig1_index)
         assert all(pool.count(w, i) == 0 for w in (0, 1) for i in range(5))
 
 
@@ -155,6 +159,40 @@ class TestUpdateCandidates:
             if outside >> s & 1:
                 assert pool.count(2, s) == 0
         assert pool.count(2, fig1_index.segment(2)) == 1
+
+
+class TestBranchOnOwnSets:
+    """Each call pops its branch vertex from its own candidates before the
+    children are counted, so ``update_candidates`` never sees it."""
+
+    @pytest.fixture
+    def visited(self, monkeypatch):
+        seen = []
+
+        def checked(source, pool, blockers, pair, index):
+            assert pair[0] not in source
+            seen.append(pair[0])
+            return update_candidates(source, pool, blockers, pair, index)
+
+        monkeypatch.setattr("tkplex.search.update_candidates", checked)
+        return seen
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_workloads(self, visited, name):
+        workload = WORKLOADS[name]
+        graph = parse_edge_list(workload.generate(1).edge_list_text())
+        config = SearchConfig(workload.delta, workload.k, workload.connected)
+        collect_maximal_plexes(graph, config)
+        assert visited
+
+    @pytest.mark.parametrize("connectedness", [False, True])
+    def test_sweep_slice(self, visited, connectedness):
+        for graph in sweep_corpus()[:40]:
+            for delta in range(min(3, graph.lifetime)):
+                for k in (1, 2, 3):
+                    config = SearchConfig(delta, k, connectedness)
+                    collect_maximal_plexes(graph, config)
+        assert visited
 
 
 class TestEmitMaximal:
