@@ -63,13 +63,11 @@ def connected_candidates(
 ) -> PairSet:
     """Candidates with an edge to some plex member inside a shared frame.
 
-    With an empty plex every candidate qualifies.  An empty result means the
-    current call cannot grow into a connected plex and may stop early.
-    The search cuts every entry to its call's lifetimes, so an entry is
-    tested as it stands.
+    ``members`` is non-empty; with an empty plex every candidate would
+    qualify.  An empty result means the current call cannot grow into a
+    connected plex and may stop early.  The search cuts every entry to its
+    call's lifetimes, so an entry is tested as it stands.
     """
-    if not members:
-        return dict(candidates)
     rows, full = index.rows, index.full
     out: PairSet = {}
     for w, iw in candidates.items():

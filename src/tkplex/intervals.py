@@ -1,10 +1,11 @@
 """Closed integer intervals and canonical ordered collections of them.
 
-These are the frame sets of the API edge: plex records, the debug monitor
-and the interval algebra of the acceptance criteria.  The search itself
-works on segment bitsets (see ``graph.NonNeighborhoodIndex``).  All values
-are immutable; every operation returns a fresh canonical ``IntervalSet``
-(sorted, pairwise disjoint, non-adjacent).
+These are the frame sets of the API edge: plex records and the debug
+monitor.  The search itself works on segment bitsets (see
+``graph.NonNeighborhoodIndex``); ``intersect`` and ``minus`` remain as the
+targets the benchmark's tracer wraps by name.  All values are immutable;
+every operation returns a fresh canonical ``IntervalSet`` (sorted, pairwise
+disjoint, non-adjacent).
 """
 
 from __future__ import annotations
@@ -64,10 +65,6 @@ class IntervalSet:
         s.intervals = tuple(intervals)
         return s
 
-    @classmethod
-    def from_points(cls, points: Iterable[int]) -> "IntervalSet":
-        return cls((p, p) for p in points)
-
     def __bool__(self) -> bool:
         return bool(self.intervals)
 
@@ -104,28 +101,6 @@ class IntervalSet:
         cand = self.intervals[idx - 1]
         return cand.start <= interval.start and cand.end >= interval.end
 
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        a, b = self.intervals, other.intervals
-        if not a:
-            return other
-        if not b:
-            return self
-        out: list[Interval] = []
-        i = j = 0
-        while i < len(a) or j < len(b):
-            if j >= len(b) or (i < len(a) and a[i].start <= b[j].start):
-                nxt = a[i]
-                i += 1
-            else:
-                nxt = b[j]
-                j += 1
-            if out and nxt.start <= out[-1].end + 1:
-                if nxt.end > out[-1].end:
-                    out[-1] = Interval(out[-1].start, nxt.end)
-            else:
-                out.append(nxt)
-        return IntervalSet._raw(out)
-
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         a, b = self.intervals, other.intervals
         out: list[Interval] = []
@@ -161,7 +136,3 @@ class IntervalSet:
         if cursor <= hi:
             out.append(Interval(cursor, hi))
         return IntervalSet._raw(out)
-
-
-EMPTY_SET = IntervalSet()
-

@@ -13,9 +13,15 @@ from itertools import combinations
 
 import pytest
 
-from tkplex.graph import FrameDomain, delta_slice_degeneracy, plex_count_upper_bound
+from tkplex.graph import (
+    FrameDomain,
+    NonNeighborhoodIndex,
+    TemporalGraph,
+    delta_slice_degeneracy,
+    plex_count_upper_bound,
+)
 from tkplex.instrumentation import InvariantMonitor, InvariantViolation
-from tkplex.intervals import Interval, IntervalSet
+from tkplex.intervals import Interval
 from tkplex.oracle import enumerate_all_maximal, static_degeneracy
 from tkplex.search import (
     PlexRecord,
@@ -27,6 +33,7 @@ from tkplex.search import (
 from conftest import (
     FIG1_TEXT,
     edgeless_graph,
+    frame_bits,
     scale_graph,
     static_maximal_kplexes,
     sweep_corpus,
@@ -246,16 +253,27 @@ def test_criterion_6_static_reduction():
 
 
 def test_criterion_7_interval_algebra_conformance():
-    a = IntervalSet([(1, 2), (5, 8)])
-    b = IntervalSet([(1, 4), (5, 6)])
-    c = IntervalSet([(1, 4), (5, 8)])
-    d = IntervalSet([(1, 2), (5, 6)])
+    # a contact at every step with delta = 0 makes every frame its own
+    # segment, so every frame set is a segment bitset of the search: union
+    # is |, intersection & and difference x ^ (x & y)
+    contacts = tuple((t, 0, 1) for t in range(1, 31))
+    graph = TemporalGraph(("a", "b"), contacts, 30)
+    index = NonNeighborhoodIndex(graph, FrameDomain.for_graph(graph, 0))
+    assert index.full.bit_length() == 30  # one segment per frame
+
+    def decode(frames: int) -> frozenset[int]:
+        return frozenset(index.frame_set(frames).members())
+
+    a = frame_bits(index, (1, 2), (5, 8))
+    b = frame_bits(index, (1, 4), (5, 6))
+    c = frame_bits(index, (1, 4), (5, 8))
+    d = frame_bits(index, (1, 2), (5, 6))
     # the union merges across the adjacent endpoints 4 and 5, per the
     # maximal-interval definition all operations share
     examples_ok = (
-        str(a.union(b)) == "{[1,8]}"
-        and str(a.intersect(b)) == "{[1,2],[5,6]}"
-        and str(c.minus(d)) == "{[3,4],[7,8]}"
+        str(index.frame_set(a | b)) == "{[1,8]}"
+        and str(index.frame_set(a & b)) == "{[1,2],[5,6]}"
+        and str(index.frame_set(c ^ (c & d))) == "{[3,4],[7,8]}"
     )
     rng = random.Random(7)
     mismatches = 0
@@ -263,19 +281,19 @@ def test_criterion_7_interval_algebra_conformance():
     for _ in range(10_000):
         xs = frozenset(rng.randint(1, 30) for _ in range(rng.randint(0, 20)))
         ys = frozenset(rng.randint(1, 30) for _ in range(rng.randint(0, 20)))
-        x = IntervalSet.from_points(xs)
-        y = IntervalSet.from_points(ys)
+        x = sum(1 << index.segment(f) for f in xs)
+        y = sum(1 << index.segment(f) for f in ys)
         if (
-            frozenset(x.union(y).members()) != xs | ys
-            or frozenset(x.intersect(y).members()) != xs & ys
-            or frozenset(x.minus(y).members()) != xs - ys
+            decode(x | y) != xs | ys
+            or decode(x & y) != xs & ys
+            or decode(x ^ (x & y)) != xs - ys
         ):
             mismatches += 1
     elapsed = time.monotonic() - started
     ok = examples_ok and mismatches == 0 and elapsed < 10.0
     report(
-        "criterion 7: interval algebra matches the worked examples and "
-        "10,000 integer-set oracle trials",
+        "criterion 7: the search's frame-set algebra matches the worked "
+        "examples and 10,000 integer-set oracle trials",
         ok,
         f"examples_ok={examples_ok} mismatches={mismatches} "
         f"elapsed={elapsed:.2f}s",

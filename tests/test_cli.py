@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from tkplex import cli
 from tkplex.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -84,6 +85,26 @@ class TestEnumerateCommand:
                     "index_seconds", "search_seconds"):
             assert float(stats[key]) >= 0
             assert key in table
+
+    def test_wall_seconds_covers_parsing(self, fig1_file, tmp_path, monkeypatch):
+        # a clock that only parsing moves: 100 s to parse, nothing after
+        now = [0.0]
+        parse = cli.parse_edge_list
+
+        def slow_parse(*args, **kwargs):
+            now[0] += 100.0
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(time, "monotonic", lambda: now[0])
+        monkeypatch.setattr(cli, "parse_edge_list", slow_parse)
+        stats_path = tmp_path / "stats.txt"
+        code, _ = run_enumerate(fig1_file, tmp_path, "--stats", str(stats_path))
+        assert code == EXIT_OK
+        stats = dict(
+            line.split("=", 1) for line in stats_path.read_text().splitlines()
+        )
+        assert float(stats["parse_seconds"]) == 100.0
+        assert float(stats["wall_seconds"]) == 100.0
 
     def test_with_degeneracy_report(self, fig1_file, tmp_path, capsys):
         code, _ = run_enumerate(fig1_file, tmp_path, "--with-degeneracy")

@@ -1,8 +1,12 @@
 import logging
 import random
 import time
+from functools import reduce
+from operator import or_
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tkplex.graph import (
     EdgeListParseError,
@@ -238,6 +242,34 @@ class TestNonNeighborhoodIndex:
                     )
                     neighbor = index.full & ~index.rows[u].get(v, index.full)
                     assert frame_set(index, neighbor) == covered
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        omega=st.integers(1, 30),
+        density=st.sampled_from((0.02, 0.05, 0.1, 0.3)),
+        rng=st.randoms(use_true_random=False),
+        data=st.data(),
+    )
+    def test_runs_match_segments_decoded_frame_by_frame(
+        self, n, omega, density, rng, data
+    ):
+        # sparse contacts over a long lifetime give segments of many frames
+        graph = random_temporal_graph(rng, n, omega, density)
+        fd = FrameDomain.for_graph(graph, data.draw(st.integers(0, omega - 1)))
+        index = NonNeighborhoodIndex(graph, fd)
+        frames = data.draw(st.integers(0, index.full))
+        runs = list(index.runs(frames))
+        for (_, a), (_, b) in zip(runs, runs[1:]):
+            assert a.end + 1 < b.start  # ascending, disjoint, non-adjacent
+        expected = {
+            f for f in range(1, fd.last_frame + 1)
+            if frames >> index.segment(f) & 1
+        }
+        assert {f for _, iv in runs for f in iv.members()} == expected
+        for mask, iv in runs:
+            assert mask == reduce(or_, (1 << index.segment(f) for f in iv.members()))
 
 
 def naive_snapshot(graph: TemporalGraph, delta: int, i: int) -> dict[int, set[int]]:

@@ -143,12 +143,6 @@ class TestConnectedCandidates:
         got = connected_candidates({1: full, 2: full}, (0,), index)
         assert set(got) == {1, 2}
 
-    def test_empty_plex_keeps_everything(self, fig1_graph):
-        fd = FrameDomain.for_graph(fig1_graph, 1)
-        index = NonNeighborhoodIndex(fig1_graph, fd)
-        candidates = {1: index.full}
-        assert connected_candidates(candidates, (), index) == candidates
-
     def test_candidate_without_shared_frame_drops(self, fig1_graph):
         fd = FrameDomain.for_graph(fig1_graph, 1)
         index = NonNeighborhoodIndex(fig1_graph, fd)

@@ -2,13 +2,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tkplex.intervals import EMPTY_SET, Interval, IntervalSet
+from tkplex.intervals import Interval, IntervalSet
 
 point_sets = st.frozensets(st.integers(min_value=1, max_value=30), max_size=20)
 
 
 def iset(*pairs) -> IntervalSet:
     return IntervalSet(pairs)
+
+
+def points(xs) -> IntervalSet:
+    return IntervalSet((x, x) for x in xs)
 
 
 class TestConstruction:
@@ -30,8 +34,8 @@ class TestConstruction:
             iset((0, 3))
 
     def test_empty_set_is_valid(self):
-        assert not EMPTY_SET
-        assert len(EMPTY_SET) == 0
+        assert not IntervalSet()
+        assert len(IntervalSet()) == 0
 
     def test_rendering(self):
         assert str(iset((1, 4), (6, 9))) == "{[1,4],[6,9]}"
@@ -43,19 +47,13 @@ class TestCovers:
         assert iset((1, 4)).covers(Interval(1, 2))
 
     def test_empty_set_covers_nothing(self):
-        assert not EMPTY_SET.covers(Interval(1, 2))
+        assert not IntervalSet().covers(Interval(1, 2))
 
     def test_straddling_interval_not_covered(self):
         assert not iset((1, 4), (6, 9)).covers(Interval(3, 5))
 
 
 class TestWorkedExamples:
-    def test_union(self):
-        # {1..4} meets {5..8}: the maximal interval of the union is [1,8],
-        # since 4 and 5 are adjacent integers
-        got = iset((1, 2), (5, 8)).union(iset((1, 4), (5, 6)))
-        assert str(got) == "{[1,8]}"
-
     def test_intersection(self):
         got = iset((1, 2), (5, 8)).intersect(iset((1, 4), (5, 6)))
         assert str(got) == "{[1,2],[5,6]}"
@@ -63,13 +61,6 @@ class TestWorkedExamples:
     def test_difference(self):
         got = iset((1, 4), (5, 8)).minus(iset((1, 2), (5, 6)))
         assert str(got) == "{[3,4],[7,8]}"
-
-    def test_union_identity(self):
-        a = iset((2, 3), (9, 9))
-        assert EMPTY_SET.union(a) == a
-
-    def test_union_merges_adjacent_results(self):
-        assert iset((1, 2)).union(iset((3, 4))) == iset((1, 4))
 
     def test_intersection_idempotent(self):
         a = iset((1, 10), (20, 25))
@@ -99,43 +90,38 @@ def _canonical_ok(s: IntervalSet) -> bool:
 
 @given(point_sets, point_sets)
 def test_operations_match_integer_set_semantics(xs, ys):
-    a, b = IntervalSet.from_points(xs), IntervalSet.from_points(ys)
-    assert _as_points(a.union(b)) == xs | ys
+    a, b = points(xs), points(ys)
     assert _as_points(a.intersect(b)) == xs & ys
     assert _as_points(a.minus(b)) == xs - ys
 
 
 @given(point_sets, point_sets)
 def test_results_are_canonical_and_bounded(xs, ys):
-    a, b = IntervalSet.from_points(xs), IntervalSet.from_points(ys)
-    for got in (a.union(b), a.intersect(b), a.minus(b)):
+    a, b = points(xs), points(ys)
+    for got in (a.intersect(b), a.minus(b)):
         assert _canonical_ok(got)
         assert len(got) <= len(a) + len(b)
 
 
 @given(point_sets, point_sets)
 def test_union_and_intersection_commute(xs, ys):
-    a, b = IntervalSet.from_points(xs), IntervalSet.from_points(ys)
-    assert a.union(b) == b.union(a)
+    a, b = points(xs), points(ys)
     assert a.intersect(b) == b.intersect(a)
 
 
 @given(point_sets, point_sets, point_sets)
 def test_union_and_intersection_associate(xs, ys, zs):
-    a = IntervalSet.from_points(xs)
-    b = IntervalSet.from_points(ys)
-    c = IntervalSet.from_points(zs)
-    assert a.union(b).union(c) == a.union(b.union(c))
+    a, b, c = points(xs), points(ys), points(zs)
     assert a.intersect(b).intersect(c) == a.intersect(b.intersect(c))
 
 
 @given(point_sets, point_sets)
 def test_difference_is_intersection_with_complement(xs, ys):
-    a, b = IntervalSet.from_points(xs), IntervalSet.from_points(ys)
+    a, b = points(xs), points(ys)
     assert a.minus(b) == a.intersect(b.complement(1, 30))
 
 
 @given(point_sets, point_sets)
 def test_coverage_iff_intersection_fixpoint(xs, ys):
-    a, b = IntervalSet.from_points(xs), IntervalSet.from_points(ys)
+    a, b = points(xs), points(ys)
     assert all(b.covers(iv) for iv in a) == (a.intersect(b) == a)

@@ -137,10 +137,6 @@ class TestUpdateCandidates:
         _, _, out = grow_by_a(fig1_index, k=1)
         assert frame_set(fig1_index, out[1]) == iset((1, 2), (5, 5))
 
-    def test_grown_vertex_never_in_result(self, fig1_index):
-        _, _, out = grow_by_a(fig1_index, k=2)
-        assert 0 not in out
-
     def test_entries_outside_new_lifetime_drop(self, fig1_index, bits):
         source = {1: bits((1, 2))}
         out = update_candidates(source, Pool(2), [], (0, bits((4, 5))), fig1_index)
