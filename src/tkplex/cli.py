@@ -155,6 +155,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             "wall_seconds": round(wall_seconds, 3),
             "parse_seconds": round(parse_seconds, 3),
             "index_seconds": round(stats.index_seconds, 3),
+            "core_seconds": round(stats.core_seconds, 3),
             "search_seconds": round(stats.search_seconds, 3),
             "timed_out": stats.timed_out,
         }

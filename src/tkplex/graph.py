@@ -139,32 +139,16 @@ class FrameDomain(NamedTuple):
         return cls(delta, graph.lifetime - delta)
 
 
-def segment_starts(graph: TemporalGraph, fd: FrameDomain) -> list[int]:
-    """First frame of each segment, ascending.
-
-    The frames are cut at 1, at max(1, t - delta) and at t + 1 for every
-    contact t, so no window's edge set changes inside a segment.
-    """
-    delta, last = fd.delta, fd.last_frame
-    cuts = {1}
-    for t, _, _ in graph.edges:
-        cuts.add(t - delta if t > delta else 1)
-        if t < last:
-            cuts.add(t + 1)
-    return sorted(cuts)
-
-
 class NonNeighborhoodIndex:
     """Per-pair frame sets where two vertices share no edge in the window.
 
-    A frame set is an ``int`` bitset whose bit i stands for segment i (see
-    ``segment_starts``), so there are at most 2m + 1 bits however long the
-    lifetime.  Pairs that never share an edge are kept implicit (full
-    domain).  ``rows[v]`` maps each w that shares an edge with v to the
-    pair's bitset, and v itself to ``full``, so a lookup is
-    ``rows[v].get(w, full)``.  This is the library's one grouping of edges
-    by vertex pair; the oracle and the invariant monitor keep their own on
-    purpose.
+    A frame set is an ``int`` bitset whose bit i stands for segment i, so
+    there are at most 2m + 1 bits however long the lifetime.  Pairs that
+    never share an edge are kept implicit (full domain).  ``rows[v]`` maps
+    each w that shares an edge with v to the pair's bitset, and v itself to
+    ``full``, so a lookup is ``rows[v].get(w, full)``.  This is the
+    library's one grouping of edges by vertex pair; the oracle and the
+    invariant monitor keep their own on purpose.
     """
 
     def __init__(self, graph: TemporalGraph, fd: FrameDomain):
@@ -173,7 +157,14 @@ class NonNeighborhoodIndex:
         by_pair: dict[tuple[int, int], list[int]] = {}
         for t, u, v in graph.edges:  # edges sorted by t
             by_pair.setdefault((u, v), []).append(t)
-        self._starts = segment_starts(graph, fd)
+        # frames are cut at 1, at max(1, t - delta) and at t + 1 for every
+        # contact t, so no window's edge set changes inside a segment
+        cuts = {1}
+        for t, _, _ in graph.edges:
+            cuts.add(t - delta if t > delta else 1)
+            if t < last:
+                cuts.add(t + 1)
+        self._starts = sorted(cuts)
         segment = {frame: i for i, frame in enumerate(self._starts)}
         n = len(self._starts)
         self.full = (1 << n) - 1
@@ -230,92 +221,94 @@ class NonNeighborhoodIndex:
         return bisect_right(self._starts, frame) - 1
 
 
-def segment_snapshots(
-    graph: TemporalGraph, fd: FrameDomain
-) -> Iterator[dict[int, dict[int, int]]]:
-    """Each segment's window snapshot as an adjacency dict, in segment order.
+def _add_one(planes: list[int], mask: int) -> None:
+    """Add one on ``mask`` to the count whose bit i is held by plane i."""
+    for i, plane in enumerate(planes):
+        planes[i] = plane ^ mask
+        mask &= plane
+        if not mask:
+            return
+    planes.append(mask)
 
-    All frames of a segment share one snapshot: for the segment starting at
-    frame i, the edges with t in [i, i + delta].  ``adjacency[u][v]`` is the
-    number of u-v contacts in the window; vertices without one are left
-    out.  One adjacency slides along the segments and is yielded each time,
-    so a caller must finish with a snapshot before asking for the next.
+
+def _take_one(planes: list[int], mask: int) -> int:
+    """Take one off ``planes`` on ``mask``; return the segments that were at 0."""
+    for i, plane in enumerate(planes):
+        planes[i] = plane ^ mask
+        mask ^= mask & plane  # the borrow goes on where the bit was 0
+        if not mask:
+            break
+    return mask
+
+
+class _Cores:
+    """The cores of every segment's window snapshot, at an order that rises.
+
+    ``alive[v]`` holds the segments where v lies in the core and ``slack[v]``
+    the bit planes of its live neighbours there minus the order: Batagelj
+    and Zaversnik's peel, run on all segments at once.  Segments where a
+    vertex has no neighbour lie in no core of order 1 or more, so they
+    start outside.
     """
-    edges, delta = graph.edges, fd.delta
-    adjacency: dict[int, dict[int, int]] = {}
-    lo = hi = 0  # the window holds edges[lo:hi]
-    for i in segment_starts(graph, fd):
-        while hi < len(edges) and edges[hi][0] <= i + delta:
-            _, u, v = edges[hi]
-            hi += 1
-            for a, b in ((u, v), (v, u)):
-                row = adjacency.setdefault(a, {})
-                row[b] = row.get(b, 0) + 1
-        while lo < hi and edges[lo][0] < i:
-            _, u, v = edges[lo]
-            lo += 1
-            for a, b in ((u, v), (v, u)):
-                row = adjacency[a]
-                if row[b] > 1:
-                    row[b] -= 1
-                elif len(row) > 1:
-                    del row[b]
-                else:
-                    del adjacency[a]
-        yield adjacency
 
+    def __init__(self, index: NonNeighborhoodIndex):
+        self.rows, self.order, self.alive, self.slack = index.rows, 0, [], []
+        for v, row in enumerate(index.rows):
+            planes: list[int] = []
+            alive = 0
+            for w, frames in row.items():
+                if w != v:
+                    neighbor = index.full ^ frames
+                    _add_one(planes, neighbor)
+                    alive |= neighbor
+            self.alive.append(alive)
+            self.slack.append(planes)
 
-def _peel(
-    adjacency: dict[int, dict[int, int]], order: int, degree: dict[int, int]
-) -> dict[int, int]:
-    """The order-core of a snapshot, with each survivor's degree inside it.
+    def peel(self, order: int) -> list[int]:
+        """Raise the order to ``order``, no lower than now; return ``alive``.
 
-    ``degree`` holds the live degree of every vertex still in play; the
-    vertices whose live degree is below ``order`` go, their neighbours lose
-    one each, and so on until none is left.  ``degree`` is peeled in place
-    and returned, so peeling it again at a higher order goes on from there.
-    """
-    weak = [v for v, d in degree.items() if d < order]
-    for v in weak:
-        del degree[v]
-    while weak:
-        for w in adjacency[weak.pop()]:
-            d = degree.get(w)
-            if d == order:  # its last spare neighbour goes
-                del degree[w]
-                weak.append(w)
-            elif d is not None:
-                degree[w] = d - 1
-    return degree
+        A segment whose slack wraps below zero leaves the core and takes one
+        off its live neighbours' slack there, round by round.
+        """
+        rows, alive, slack = self.rows, self.alive, self.slack
+        weak = {}
+        for v, planes in enumerate(slack):
+            gone = 0
+            for _ in range(order - self.order):
+                gone |= _take_one(planes, alive[v] ^ gone)
+            if gone:
+                alive[v] ^= gone
+                weak[v] = gone
+        self.order = order
+        while weak:  # the segments each vertex left in the last round
+            left: dict[int, int] = {}
+            for v, gone in weak.items():
+                for w, frames in rows[v].items():
+                    hit = alive[w] & gone  # none for w == v
+                    hit ^= hit & frames  # where v is w's neighbour
+                    if hit and (wrapped := _take_one(slack[w], hit)):
+                        alive[w] ^= wrapped
+                        left[w] = left.get(w, 0) | wrapped
+            weak = left
+        return alive
 
 
 def delta_slice_degeneracy(graph: TemporalGraph, fd: FrameDomain) -> int:
-    """Maximum static degeneracy over all frame snapshot graphs.
-
-    A snapshot whose (best + 1)-core is empty cannot raise the maximum
-    ``best``, so it costs one peel; one that can is peeled on, one order at
-    a time, until its core empties.
-    """
+    """Maximum static degeneracy over all frame snapshot graphs."""
+    cores = _Cores(NonNeighborhoodIndex(graph, fd))
     best = 0
-    for adjacency in segment_snapshots(graph, fd):
-        degree = {v: len(row) for v, row in adjacency.items()}
-        while _peel(adjacency, best + 1, degree):
-            best += 1
+    while any(cores.peel(best + 1)):
+        best += 1
     return best
 
 
-def core_frames(graph: TemporalGraph, fd: FrameDomain, order: int) -> list[int]:
+def core_frames(index: NonNeighborhoodIndex, order: int) -> list[int]:
     """Per vertex, the segment bitset where it lies in the order-core.
 
     Bit i is set when the vertex lies in the ``order``-core of segment i's
-    window snapshot: the largest subgraph of minimum degree ``order``.
+    window snapshot: the largest subgraph of minimum degree ``order`` >= 1.
     """
-    frames = [0] * graph.vertex_count
-    for i, adjacency in enumerate(segment_snapshots(graph, fd)):
-        degree = {v: len(row) for v, row in adjacency.items()}
-        for v in _peel(adjacency, order, degree):
-            frames[v] |= 1 << i
-    return frames
+    return _Cores(index).peel(order)
 
 
 def plex_count_upper_bound(n: int, k: int, d: int, m: int, lifetime: int) -> int:

@@ -70,8 +70,9 @@ class RunStats(NamedTuple):
     max_plex_order: int = 0
     max_lifetime_length: int = 0
     recursive_calls: int = 0
-    wall_time_seconds: float = 0.0  # frame domain, index and search
-    index_seconds: float = 0.0  # non-neighbor index and root core peel
+    wall_time_seconds: float = 0.0  # frame domain, index, core peel and search
+    index_seconds: float = 0.0  # non-neighbor index
+    core_seconds: float = 0.0  # root core peel, with a minimum plex order
     search_seconds: float = 0.0
     timed_out: bool = False
 
@@ -208,11 +209,12 @@ def enumerate_maximal_plexes(
     fd = FrameDomain.for_graph(graph, config.delta)
     index_started = time.monotonic()
     index = NonNeighborhoodIndex(graph, fd)
+    core_started = time.monotonic()
     # each member of a plex of order >= min_size has >= min_size - k
     # neighbours in every frame, so it lies in that frame's core
     order = config.min_size - config.k
     full = index.full
-    roots = (core_frames(graph, fd, order) if order > 0
+    roots = (core_frames(index, order) if order > 0
              else [full] * graph.vertex_count)
     search_started = time.monotonic()
     plex_count = max_plex_order = max_lifetime_length = recursive_calls = 0
@@ -290,7 +292,8 @@ def enumerate_maximal_plexes(
     return RunStats(
         plex_count, max_plex_order, max_lifetime_length, recursive_calls,
         wall_time_seconds=finished - started,
-        index_seconds=search_started - index_started,
+        index_seconds=core_started - index_started,
+        core_seconds=search_started - core_started,
         search_seconds=finished - search_started,
         timed_out=timed_out,
     )

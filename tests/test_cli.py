@@ -82,7 +82,7 @@ class TestEnumerateCommand:
         assert stats["timed_out"] == "False"
         table = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
         for key in ("recursive_calls", "wall_seconds", "parse_seconds",
-                    "index_seconds", "search_seconds"):
+                    "index_seconds", "core_seconds", "search_seconds"):
             assert float(stats[key]) >= 0
             assert key in table
 

@@ -1,8 +1,10 @@
 import logging
 import random
+import sys
 import time
 from functools import reduce
 from operator import or_
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,9 @@ from tkplex.graph import (
     FrameDomain,
     NonNeighborhoodIndex,
     TemporalGraph,
+    _add_one,
+    _Cores,
+    _take_one,
     core_frames,
     delta_slice_degeneracy,
     parse_edge_list,
@@ -28,6 +33,10 @@ from conftest import (
     random_temporal_graph,
     render_edge_list,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import WORKLOADS  # noqa: E402
 
 
 class TestParseEdgeList:
@@ -334,6 +343,24 @@ class TestDegeneracy:
         graph = parse_edge_list("1 a b\n2 b c\n1000000000 a c\n")
         assert delta_slice_degeneracy(graph, FrameDomain.for_graph(graph, 0)) == 1
 
+    @pytest.mark.parametrize(
+        "name, lifetime, expected",
+        [
+            ("clique-long", 5000, [2, 2, 3, 39]),
+            ("plex-window", 400, [2, 2, 4, 20]),
+            ("community-connected", 200, [7, 7, 7, 9]),
+        ],
+    )
+    def test_benchmark_workloads(self, name, lifetime, expected):
+        # at delta 0, 2, 20 and the widest window, with seed 1
+        graph = parse_edge_list(WORKLOADS[name].generate(1).edge_list_text())
+        assert graph.lifetime == lifetime
+        got = [
+            delta_slice_degeneracy(graph, FrameDomain.for_graph(graph, delta))
+            for delta in (0, 2, 20, lifetime - 1)
+        ]
+        assert got == expected
+
 
 def naive_core_frames(graph: TemporalGraph, delta: int, order: int) -> list[set[int]]:
     """Per vertex, the frames whose window snapshot's order-core holds it."""
@@ -351,39 +378,83 @@ def naive_core_frames(graph: TemporalGraph, delta: int, order: int) -> list[set[
 class TestCoreFrames:
     def test_fixture_delta_one(self, fig1_graph):
         # only frame 5's window [5, 6] holds a triangle
-        fd = FrameDomain.for_graph(fig1_graph, 1)
-        index = NonNeighborhoodIndex(fig1_graph, fd)
-        cores = core_frames(fig1_graph, fd, 2)
+        index = NonNeighborhoodIndex(fig1_graph, FrameDomain.for_graph(fig1_graph, 1))
+        cores = core_frames(index, 2)
         assert [frame_set(index, f) for f in cores] == [IntervalSet([(5, 5)])] * 3
-        a, b, c = core_frames(fig1_graph, fd, 1)
+        a, b, c = core_frames(index, 1)
         assert frame_set(index, a) == IntervalSet([(1, 5)])
         assert frame_set(index, b) == IntervalSet([(1, 2), (4, 5)])
         assert frame_set(index, c) == IntervalSet([(1, 1), (3, 5)])
 
     def test_matches_naive_per_frame_peel(self):
+        # narrow windows and the widest one, whose one segment is the
+        # static graph; dense graphs reach the 6-core
         rng = random.Random(17)
-        checked = 0
-        for _ in range(150):
+        checked = [0] * 7
+        for _ in range(200):
             omega = rng.randint(1, 10)
             graph = random_temporal_graph(
-                rng, rng.randint(2, 8), omega, rng.choice((0.1, 0.3, 0.6))
+                rng, rng.randint(2, 8), omega, rng.choice((0.1, 0.3, 0.6, 0.9))
             )
-            delta = rng.randint(0, min(2, omega - 1))
-            fd = FrameDomain.for_graph(graph, delta)
-            index = NonNeighborhoodIndex(graph, fd)
-            for order in range(1, 5):
+            delta = rng.choice((rng.randint(0, min(2, omega - 1)), omega - 1))
+            index = NonNeighborhoodIndex(graph, FrameDomain.for_graph(graph, delta))
+            for order in range(1, 7):
                 got = [
                     set(frame_set(index, f).members())
-                    for f in core_frames(graph, fd, order)
+                    for f in core_frames(index, order)
                 ]
                 expected = naive_core_frames(graph, delta, order)
                 assert got == expected, (graph, delta, order)
-                checked += sum(map(len, expected))
-        assert checked > 1000  # not vacuous
+                checked[order] += sum(map(len, expected))
+        assert min(checked[1:]) > 300  # not vacuous at any order
+
+    def test_raising_one_order_at_a_time_matches_a_fresh_peel(self):
+        # delta_slice_degeneracy raises one state's order step by step
+        rng = random.Random(23)
+        for _ in range(100):
+            omega = rng.randint(1, 10)
+            graph = random_temporal_graph(
+                rng, rng.randint(2, 8), omega, rng.uniform(0.1, 0.9)
+            )
+            delta = rng.randint(0, omega - 1)
+            index = NonNeighborhoodIndex(graph, FrameDomain.for_graph(graph, delta))
+            cores = _Cores(index)
+            for order in range(1, 8):
+                assert cores.peel(order) == core_frames(index, order)
 
     def test_edgeless_has_empty_cores(self):
         graph = edgeless_graph(4, 5)
-        assert core_frames(graph, FrameDomain(1, 4), 1) == [0, 0, 0, 0]
+        index = NonNeighborhoodIndex(graph, FrameDomain(1, 4))
+        assert core_frames(index, 1) == [0, 0, 0, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.integers(1, 12),
+    steps=st.lists(st.tuples(st.booleans(), st.integers(0, 2**12 - 1)), max_size=40),
+)
+def test_bit_planes_count_like_integers(width, steps):
+    # add-one and take-one steps on random segment masks; a segment taken
+    # below zero wraps, leaves the count and is masked out from then on
+    planes: list[int] = []
+    counts = [0] * width
+    live = (1 << width) - 1
+    for add, mask in steps:
+        mask &= live
+        if add:
+            _add_one(planes, mask)
+        else:
+            wrapped = _take_one(planes, mask)
+            assert wrapped == sum(
+                1 << i for i in range(width) if mask >> i & 1 and counts[i] == 0
+            )
+            live ^= wrapped
+        for i in range(width):
+            if mask >> i & 1:
+                counts[i] += 1 if add else -1
+        for i in range(width):
+            if live >> i & 1:
+                assert sum((p >> i & 1) << b for b, p in enumerate(planes)) == counts[i]
 
 
 class TestPlexCountUpperBound:
