@@ -1,18 +1,23 @@
 """Debug-time invariant checks for the recursion.
 
-The monitor recomputes every claimed property from the raw edge list (never
-from the non-neighborhood index), so a passing run is independent evidence
-that the pool, the candidate sets, and the call tree are all consistent.
-Intended for small instances only; every call costs O(|V|^2 * frames).
+The monitor takes each call's own state: segment bitsets, the pool and the
+non-neighborhood index.  Of the index it trusts only the segment starts,
+through ``frame_set`` (a bitset to its frame intervals) and ``segment`` (a
+frame to its bit); it never reads the index rows.  Every value it expects
+it recomputes from the raw edge list, so a passing run is independent
+evidence that the pool, the candidate sets, and the call tree are all
+consistent.  Intended for small instances only; every call costs
+O(|V|^2 * frames).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable
 
-from .graph import TemporalGraph
-from .intervals import Interval, IntervalSet
+from .graph import NonNeighborhoodIndex, TemporalGraph
+from .intervals import Interval
+from .pairset import PairSet
+from .pool import Pool
 
 
 class InvariantViolation(AssertionError):
@@ -93,15 +98,22 @@ class InvariantMonitor:
     def on_call(
         self,
         members: tuple[int, ...],
-        lifetimes: IntervalSet,
-        candidates: dict[int, IntervalSet],
-        excluded: dict[int, IntervalSet],
-        count: Callable[[int, int], int],
+        lifetimes: int,
+        candidates: PairSet,
+        excluded: PairSet,
+        pool: Pool,
+        index: NonNeighborhoodIndex,
     ) -> None:
-        self._check_call_unique(members, lifetimes)
-        self._check_pool(members, lifetimes, candidates, excluded, count)
-        self._check_lifetimes(members, lifetimes)
-        self._check_candidates(members, lifetimes, candidates, excluded)
+        """Check one call's state, decoded to frame intervals and counts."""
+        frames = index.frame_set(lifetimes)
+        entries = [
+            {w: index.frame_set(f) for w, f in pairs.items()}
+            for pairs in (candidates, excluded)
+        ]
+        self._check_call_unique(members, frames)
+        self._check_pool(members, frames, *entries, pool, index)
+        self._check_lifetimes(members, frames)
+        self._check_candidates(members, frames, *entries)
 
     def _check_call_unique(self, members, lifetimes) -> None:
         fingerprint = (frozenset(members), lifetimes.intervals)
@@ -111,7 +123,9 @@ class InvariantMonitor:
             )
         self.calls_seen.add(fingerprint)
 
-    def _check_pool(self, members, lifetimes, candidates, excluded, count) -> None:
+    def _check_pool(
+        self, members, lifetimes, candidates, excluded, pool, index
+    ) -> None:
         tracked = dict(candidates)
         tracked.update(excluded)
         for c in members:
@@ -123,7 +137,7 @@ class InvariantMonitor:
                     for u in members
                     if self._non_neighbors_in_frame(u, w, frame)
                 )
-                got = count(w, frame)
+                got = pool.count(w, index.segment(frame))
                 if got != expected:
                     raise InvariantViolation(
                         f"pool count for vertex {w} frame {frame} is {got}, "

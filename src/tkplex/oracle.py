@@ -43,29 +43,30 @@ def _has_edge_in(times: list[int] | None, lo: int, hi: int) -> bool:
     return i < len(times) and times[i] <= hi
 
 
-def is_plex(
-    graph: TemporalGraph, delta: int, k: int, vertices, interval: Interval
-) -> bool:
-    """Direct check of the plex predicate over every frame of ``interval``.
+def _frame_ok(times, delta: int, k: int, group, i: int) -> bool:
+    """The plex predicate on frame i: no vertex misses more than k of ``group``.
 
     A vertex always counts itself among its non-neighbors.
     """
-    group = sorted(vertices)
-    times = _pair_times(graph)
-    for i in range(interval.start, interval.end + 1):
-        lo, hi = i, i + delta
-        for v in group:
-            missing = 0
-            for u in group:
-                if u == v:
-                    missing += 1
-                    continue
-                key = (u, v) if u < v else (v, u)
-                if not _has_edge_in(times.get(key), lo, hi):
-                    missing += 1
-            if missing > k:
-                return False
+    lo, hi = i, i + delta
+    for v in group:
+        missing = 0
+        for u in group:
+            key = (u, v) if u < v else (v, u)
+            if u == v or not _has_edge_in(times.get(key), lo, hi):
+                missing += 1
+        if missing > k:
+            return False
     return True
+
+
+def is_plex(
+    graph: TemporalGraph, delta: int, k: int, vertices, interval: Interval
+) -> bool:
+    """Direct check of the plex predicate over every frame of ``interval``."""
+    group = tuple(vertices)
+    times = _pair_times(graph)
+    return all(_frame_ok(times, delta, k, group, i) for i in interval.members())
 
 
 def enumerate_all_maximal(
@@ -95,25 +96,14 @@ def enumerate_all_maximal(
         raise ValueError(f"delta {delta} too large for lifetime {graph.lifetime}")
     times = _pair_times(graph)
 
-    def frame_ok(group: tuple[int, ...], i: int) -> bool:
-        lo, hi = i, i + delta
-        for v in group:
-            missing = 1  # itself
-            for u in group:
-                if u == v:
-                    continue
-                key = (u, v) if u < v else (v, u)
-                if not _has_edge_in(times.get(key), lo, hi):
-                    missing += 1
-            if missing > k:
-                return False
-        return True
-
     found: list[PlexRecord] = []
     everyone = range(n)
     for size in range(1, n + 1):
         for group in combinations(everyone, size):
-            feasible = [i for i in range(1, last_frame + 1) if frame_ok(group, i)]
+            feasible = [
+                i for i in range(1, last_frame + 1)
+                if _frame_ok(times, delta, k, group, i)
+            ]
             # maximal runs of feasible frames are the time-maximal intervals
             runs: list[Interval] = []
             for i in feasible:
@@ -125,8 +115,8 @@ def enumerate_all_maximal(
                 extendable = any(
                     v not in group
                     and all(
-                        frame_ok(tuple(sorted(group + (v,))), i)
-                        for i in range(run.start, run.end + 1)
+                        _frame_ok(times, delta, k, group + (v,), i)
+                        for i in run.members()
                     )
                     for v in everyone
                 )

@@ -12,13 +12,16 @@ plex order, is not bounded by the interpreter's stack.
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterator, NamedTuple, Protocol
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .graph import FrameDomain, NonNeighborhoodIndex, TemporalGraph, core_frames
 from .heuristics import connected_candidates, select_pivot
-from .intervals import Interval, IntervalSet
+from .intervals import Interval
 from .pairset import PairSet
 from .pool import Pool
+
+if TYPE_CHECKING:  # an annotation only: a search never loads its checker
+    from .instrumentation import InvariantMonitor
 
 
 class _SearchFields(NamedTuple):
@@ -75,22 +78,6 @@ class RunStats(NamedTuple):
     core_seconds: float = 0.0  # root core peel, with a minimum plex order
     search_seconds: float = 0.0
     timed_out: bool = False
-
-
-class CallMonitor(Protocol):
-    """Debug hook invoked at the top of every recursive call.
-
-    It sees frame sets as ``IntervalSet``s and pool counts per frame.
-    """
-
-    def on_call(
-        self,
-        members: tuple[int, ...],
-        lifetimes: IntervalSet,
-        candidates: dict[int, IntervalSet],
-        excluded: dict[int, IntervalSet],
-        count: Callable[[int, int], int],  # (vertex, frame) -> pool count
-    ) -> None: ...
 
 
 Sink = Callable[[PlexRecord], None]
@@ -195,7 +182,7 @@ def enumerate_maximal_plexes(
     graph: TemporalGraph,
     config: SearchConfig,
     sink: Sink | None = None,
-    monitor: CallMonitor | None = None,
+    monitor: InvariantMonitor | None = None,
 ) -> RunStats:
     """Run the full recursion and stream every maximal plex to ``sink``.
 
@@ -231,10 +218,7 @@ def enumerate_maximal_plexes(
         """One call: emit its records, then yield each child call's arguments."""
         nonlocal plex_count, max_plex_order, max_lifetime_length
         if monitor is not None:
-            entries = ({w: index.frame_set(f) for w, f in pairs.items()}
-                       for pairs in (candidates, excluded))
-            monitor.on_call(members, index.frame_set(lifetimes), *entries,
-                            lambda w, frame: pool.count(w, index.segment(frame)))
+            monitor.on_call(members, lifetimes, candidates, excluded, pool, index)
         records = emit_maximal(
             members, lifetimes, candidates, excluded, index, config.min_size
         )
@@ -302,7 +286,7 @@ def enumerate_maximal_plexes(
 def collect_maximal_plexes(
     graph: TemporalGraph,
     config: SearchConfig,
-    monitor: CallMonitor | None = None,
+    monitor: InvariantMonitor | None = None,
 ) -> tuple[list[PlexRecord], RunStats]:
     """Convenience wrapper materializing all records in memory."""
     records: list[PlexRecord] = []

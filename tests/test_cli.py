@@ -284,7 +284,8 @@ class TestEnumerateCommand:
     def test_start_up_skips_dataclasses(self, fig1_file, tmp_path, run):
         # every run pays for its imports: `dataclasses` loads `inspect`,
         # `ast`, `dis` and `tokenize`, about 10 ms, more than the search
-        # takes on small inputs
+        # takes on small inputs; the two checkers would add ~300 lines to
+        # compile at every start
         script = "import sys, tkplex.cli\n"
         if run:
             script += (
@@ -293,7 +294,8 @@ class TestEnumerateCommand:
                 "assert code == 0, code\n"
             )
         script += (
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+            "print(sorted({'dataclasses', 'inspect', 'tkplex.instrumentation',"
+            " 'tkplex.oracle'} & set(sys.modules)))\n"
         )
         src = Path(__file__).resolve().parent.parent / "src"
         out = tmp_path / "records.txt"

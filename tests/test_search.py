@@ -17,6 +17,7 @@ from tkplex.graph import (
     TemporalGraph,
     parse_edge_list,
 )
+from tkplex.instrumentation import InvariantMonitor
 from tkplex.intervals import Interval, IntervalSet
 from tkplex.oracle import enumerate_all_maximal
 from tkplex.pool import Pool
@@ -436,6 +437,30 @@ class TestEnumerate:
             )
             truth = enumerate_all_maximal(graph, delta, k)
             assert _as_set(records) == truth.as_set()
+
+
+class TestPlainRunsMatchOracle:
+    """Without ``--connected``: the oracle's records, once each, monitored."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.integers(2, 6),
+        omega=st.integers(1, 10),
+        k=st.integers(1, 3),
+        density=st.sampled_from((0.2, 0.4, 0.6, 0.8)),
+        rng=st.randoms(use_true_random=False),
+        data=st.data(),
+    )
+    def test_matches_oracle(self, n, omega, k, density, rng, data):
+        delta = data.draw(st.integers(0, omega - 1), label="delta")
+        graph = random_temporal_graph(rng, n, omega, density)
+        records, _ = collect_maximal_plexes(
+            graph, SearchConfig(delta=delta, k=k),
+            monitor=InvariantMonitor(graph, delta, k, connectedness=False),
+        )
+        assert len(set(records)) == len(records)
+        assert set(records) == enumerate_all_maximal(graph, delta, k).as_set()
 
 
 class TestConnectedCoreCut:
