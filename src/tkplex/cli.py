@@ -224,7 +224,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     expected = {
         (tuple(sorted(graph.labels[v] for v in rec.vertices)),
          rec.interval.start, rec.interval.end)
-        for rec in truth.plexes
+        for rec in truth
         if len(rec.vertices) >= args.min_size
     }
     got = _parse_record_file(args.records)

@@ -4,7 +4,8 @@ The monitor takes each call's own state: segment bitsets, the pool and the
 non-neighborhood index.  Of the index it trusts only the segment starts,
 through ``frame_set`` (a bitset to its frame intervals) and ``segment`` (a
 frame to its bit); it never reads the index rows.  Every value it expects
-it recomputes from the raw edge list, so a passing run is independent
+it recomputes from the raw edge list, with the oracle's pair times, frame
+predicate and maximal runs, so a passing run is independent
 evidence that the pool, the candidate sets, and the call tree are all
 consistent.  Intended for small instances only; every call costs
 O(|V|^2 * frames).
@@ -12,10 +13,9 @@ O(|V|^2 * frames).
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from .graph import NonNeighborhoodIndex, TemporalGraph
 from .intervals import Interval
+from .oracle import frame_ok, has_edge_in, maximal_runs, non_neighbors, pair_times
 from .pairset import PairSet
 from .pool import Pool
 
@@ -42,29 +42,17 @@ class InvariantMonitor:
         self.k = k
         self.last_frame = graph.lifetime - delta
         self.calls_seen: set[tuple] = set()
-        self._times: dict[tuple[int, int], list[int]] = {}
-        for t, u, v in graph.edges:
-            self._times.setdefault((u, v), []).append(t)
+        self._times = pair_times(graph)
         self._cores = (
             [self._core(i, k + 1) for i in range(1, self.last_frame + 1)]
             if connectedness else None
         )
 
-    def _non_neighbors_in_frame(self, u: int, w: int, i: int) -> bool:
-        if u == w:
-            return True
-        key = (u, w) if u < w else (w, u)
-        times = self._times.get(key)
-        if not times:
-            return True
-        j = bisect_left(times, i)
-        return not (j < len(times) and times[j] <= i + self.delta)
-
     def _core(self, i: int, order: int) -> set[int]:
         """The order-core of frame i's snapshot, peeled to a fixpoint."""
         adjacency: dict[int, set[int]] = {}
-        for u, w in self._times:
-            if not self._non_neighbors_in_frame(u, w, i):
+        for (u, w), times in self._times.items():
+            if has_edge_in(times, i, i + self.delta):
                 adjacency.setdefault(u, set()).add(w)
                 adjacency.setdefault(w, set()).add(u)
         alive = set(adjacency)
@@ -74,26 +62,12 @@ class InvariantMonitor:
                 return alive
             alive -= weak
 
-    def _frame_ok(self, group: tuple[int, ...], i: int) -> bool:
-        if self._cores is not None and not self._cores[i - 1].issuperset(group):
-            return False
-        for v in group:
-            missing = sum(
-                1 for u in group if self._non_neighbors_in_frame(u, v, i)
-            )
-            if missing > self.k:
-                return False
-        return True
-
     def _feasible_runs(self, group: tuple[int, ...]) -> list[Interval]:
-        runs: list[Interval] = []
-        for i in range(1, self.last_frame + 1):
-            if self._frame_ok(group, i):
-                if runs and runs[-1].end == i - 1:
-                    runs[-1] = Interval(runs[-1].start, i)
-                else:
-                    runs.append(Interval(i, i))
-        return runs
+        return maximal_runs(
+            i for i in range(1, self.last_frame + 1)
+            if (self._cores is None or self._cores[i - 1].issuperset(group))
+            and frame_ok(self._times, self.delta, self.k, group, i)
+        )
 
     def on_call(
         self,
@@ -132,10 +106,8 @@ class InvariantMonitor:
             tracked[c] = lifetimes
         for w, iset in tracked.items():
             for frame in iset.members():
-                expected = sum(
-                    1
-                    for u in members
-                    if self._non_neighbors_in_frame(u, w, frame)
+                expected = non_neighbors(
+                    self._times, self.delta, members, w, frame
                 )
                 got = pool.count(w, index.segment(frame))
                 if got != expected:

@@ -72,7 +72,7 @@ def sweep():
                 continue
             truth_by_k = {}
             for k in KS:
-                truth_by_k[k] = enumerate_all_maximal(graph, delta, k).as_set()
+                truth_by_k[k] = set(enumerate_all_maximal(graph, delta, k))
             fd = FrameDomain.for_graph(graph, delta)
             degeneracy = delta_slice_degeneracy(graph, fd)
             for k in KS:
@@ -126,8 +126,8 @@ def test_criterion_1_figure1_exactness():
     headline = PlexRecord((0, 1, 2), Interval(4, 5))
     ok = (
         headline in records2
-        and set(records2) == enumerate_all_maximal(graph, 1, 2).as_set()
-        and set(records1) == enumerate_all_maximal(graph, 1, 1).as_set()
+        and set(records2) == set(enumerate_all_maximal(graph, 1, 2))
+        and set(records1) == set(enumerate_all_maximal(graph, 1, 1))
         and elapsed < 1.0
     )
     report(

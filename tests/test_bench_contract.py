@@ -73,29 +73,44 @@ def test_traced_run_reports_every_layer_metric(tmp_path, capsys, extra):
 
 
 # (recursive_calls, plex_count, Pool.increment calls, sha256 of the output
-# file) at seed 1; the search counts an entry only inside its cut to the
-# new lifetime, after the blockers, on the frames a later call can read
+# file) per seed; the search counts an entry only inside its cut to the new
+# lifetime, after the blockers, on the frames a later call can read
 WORKLOAD_PINS = {
-    "clique-long": (
-        822, 6036, 821,
-        "836d487e6ee667e9bb22bbe69310f6a062769b429c55acc884881e565ec8b3c1",
-    ),
-    "plex-window": (
-        3601, 5910, 18798,
-        "42ddcceeafdca8fe095f7bb2f80eca5e59f94d6ea1b3cf83756d5c8629228146",
-    ),
-    "community-connected": (
-        170, 4, 1858,
-        "cddc2238505a94bb31b0cfeeb54d6b89c49fe072a297c6edc21f4b8645c53986",
-    ),
+    "clique-long": {
+        1: (822, 6036, 821,
+            "836d487e6ee667e9bb22bbe69310f6a062769b429c55acc884881e565ec8b3c1"),
+        2: (821, 6025, 820,
+            "8a767db6b6b75c0cecd10838d5c0cbd131359d5d560515adc3eedfd9c59af8ad"),
+        3: (819, 6036, 818,
+            "1932c951719c5a79af58daff5c41e25944e7ccd39b098d51fbfc853c0287fdb7"),
+    },
+    "plex-window": {
+        1: (3601, 5910, 18798,
+            "42ddcceeafdca8fe095f7bb2f80eca5e59f94d6ea1b3cf83756d5c8629228146"),
+        2: (3450, 5742, 18058,
+            "bce6fdfa42980a88c52e997e4b93050551e33680ad9041476e8e1ae190fa31e4"),
+        3: (3734, 6027, 19165,
+            "fb8e4343b7c14e33da070c2057ff5c311fe4c9c0de9a477a12d0ae3427ab34f2"),
+    },
+    "community-connected": {
+        1: (170, 4, 1858,
+            "cddc2238505a94bb31b0cfeeb54d6b89c49fe072a297c6edc21f4b8645c53986"),
+        2: (61, 4, 60,
+            "1f65e1858958f773e9ba74e5140217eca4569187a8b628090959612ae2f305d8"),
+        3: (150, 4, 941,
+            "0bd91261513af5a550f80ca17078e131c351d51dc65581df0775f6a6ffd74a26"),
+    },
 }
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOAD_PINS))
-def test_workload_output_and_counts_are_pinned(tmp_path, monkeypatch, name):
+@pytest.mark.parametrize(
+    "name, seed",
+    [(name, seed) for name in sorted(WORKLOAD_PINS) for seed in WORKLOAD_PINS[name]],
+)
+def test_workload_output_and_counts_are_pinned(tmp_path, monkeypatch, name, seed):
     workload = WORKLOADS[name]
     edges, out, stats_path = (tmp_path / f for f in ("edges.txt", "out.txt", "stats.txt"))
-    edges.write_text(workload.generate(1).edge_list_text())
+    edges.write_text(workload.generate(seed).edge_list_text())
     increment, increments = Pool.increment, 0
 
     def counted(pool, vertex, frames):
@@ -110,7 +125,7 @@ def test_workload_output_and_counts_are_pinned(tmp_path, monkeypatch, name):
     )
     assert code == 0
     stats = dict(line.split("=", 1) for line in stats_path.read_text().splitlines())
-    calls, plexes, pool_increments, digest = WORKLOAD_PINS[name]
+    calls, plexes, pool_increments, digest = WORKLOAD_PINS[name][seed]
     assert int(stats["recursive_calls"]) == calls
     assert int(stats["plex_count"]) == plexes
     assert increments == pool_increments

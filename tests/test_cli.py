@@ -280,23 +280,28 @@ class TestEnumerateCommand:
         assert "Traceback" not in err and "Exception ignored" not in err
         assert "recursive_calls" not in err  # stopped before the stats table
 
-    @pytest.mark.parametrize("run", [False, True], ids=["import", "enumerate"])
-    def test_start_up_skips_dataclasses(self, fig1_file, tmp_path, run):
+    @pytest.mark.parametrize(
+        "commands",
+        [(), ("enumerate",), ("enumerate", "oracle")],
+        ids=["import", "enumerate", "oracle"],
+    )
+    def test_start_up_skips_dataclasses(self, fig1_file, tmp_path, commands):
         # every run pays for its imports: `dataclasses` loads `inspect`,
         # `ast`, `dis` and `tokenize`, about 10 ms, more than the search
         # takes on small inputs; the two checkers would add ~300 lines to
-        # compile at every start
+        # compile at every start; `tkplex oracle` loads its own checker alone
+        records_flag = {"enumerate": "--output", "oracle": "--records"}
         script = "import sys, tkplex.cli\n"
-        if run:
+        for command in commands:
             script += (
-                "code = tkplex.cli.main(['enumerate', sys.argv[1], '--delta', '1',"
-                " '--k', '2', '--output', sys.argv[2]])\n"
+                f"code = tkplex.cli.main(['{command}', sys.argv[1], '--delta', '1',"
+                f" '--k', '2', '{records_flag[command]}', sys.argv[2]])\n"
                 "assert code == 0, code\n"
             )
-        script += (
-            "print(sorted({'dataclasses', 'inspect', 'tkplex.instrumentation',"
-            " 'tkplex.oracle'} & set(sys.modules)))\n"
-        )
+        unwanted = {"dataclasses", "inspect", "tkplex.instrumentation", "tkplex.oracle"}
+        if "oracle" in commands:
+            unwanted.remove("tkplex.oracle")
+        script += f"print(sorted({unwanted!r} & set(sys.modules)))\n"
         src = Path(__file__).resolve().parent.parent / "src"
         out = tmp_path / "records.txt"
         done = subprocess.run(
@@ -306,7 +311,7 @@ class TestEnumerateCommand:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
-        if run:
+        if commands:
             assert "a b c 4 5" in out.read_text().splitlines()
 
 

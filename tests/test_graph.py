@@ -24,7 +24,7 @@ from tkplex.graph import (
     plex_count_upper_bound,
 )
 from tkplex.intervals import Interval, IntervalSet
-from tkplex.oracle import static_degeneracy
+from tkplex.oracle import maximal_runs, static_degeneracy
 
 from conftest import (
     edgeless_graph,
@@ -277,6 +277,8 @@ class TestNonNeighborhoodIndex:
             if frames >> index.segment(f) & 1
         }
         assert {f for _, iv in runs for f in iv.members()} == expected
+        # the checkers' run builder agrees with the search's decoder
+        assert [iv for _, iv in runs] == maximal_runs(sorted(expected))
         for mask, iv in runs:
             assert mask == reduce(or_, (1 << index.segment(f) for f in iv.members()))
 

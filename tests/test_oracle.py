@@ -61,21 +61,21 @@ class TestEnumerateAllMaximal:
         truth = enumerate_all_maximal(fig1_graph, 1, 2)
         assert any(
             rec.vertices == (0, 1, 2) and rec.interval == Interval(4, 5)
-            for rec in truth.plexes
+            for rec in truth
         )
 
     def test_edgeless_pairs(self):
         truth = enumerate_all_maximal(edgeless_graph(4, 3), 0, 2)
-        assert truth.as_set() == {
+        assert set(truth) == {
             rec
-            for rec in truth.plexes
+            for rec in truth
             if len(rec.vertices) == 2 and rec.interval == Interval(1, 3)
         }
-        assert len(truth.plexes) == 6
+        assert len(truth) == 6
 
     def test_canonical_order(self, fig1_graph):
         truth = enumerate_all_maximal(fig1_graph, 1, 1)
-        keys = [(rec.vertices, rec.interval) for rec in truth.plexes]
+        keys = [(rec.vertices, rec.interval) for rec in truth]
         assert keys == sorted(keys)
 
     def test_internal_consistency(self):
@@ -86,7 +86,7 @@ class TestEnumerateAllMaximal:
             k = rng.randint(1, 2)
             truth = enumerate_all_maximal(graph, delta, k)
             last = graph.lifetime - delta
-            for rec in truth.plexes:
+            for rec in truth:
                 assert is_plex(graph, delta, k, rec.vertices, rec.interval)
                 # vertex-maximal: no single vertex extends the same interval
                 assert not any(

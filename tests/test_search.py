@@ -248,7 +248,7 @@ class TestEnumerate:
     def test_fixture_matches_oracle(self, fig1_graph, k):
         records, _ = collect_maximal_plexes(fig1_graph, SearchConfig(delta=1, k=k))
         truth = enumerate_all_maximal(fig1_graph, 1, k)
-        assert _as_set(records) == truth.as_set()
+        assert _as_set(records) == set(truth)
 
     def test_edgeless_pairs(self):
         graph = edgeless_graph(4, 3)
@@ -316,7 +316,7 @@ class TestEnumerate:
         )
         graph = TemporalGraph(tuple("abcdefg"), edges, 2)
         records, _ = collect_maximal_plexes(graph, SearchConfig(0, 2, True))
-        truth = enumerate_all_maximal(graph, 0, 2).as_set()
+        truth = set(enumerate_all_maximal(graph, 0, 2))
         assert PlexRecord((1, 2, 3, 4, 6), Interval(2, 2)) in truth
         assert _as_set(records) == {r for r in truth if len(r.vertices) > 4}
 
@@ -436,7 +436,7 @@ class TestEnumerate:
                 graph, SearchConfig(delta=delta, k=k)
             )
             truth = enumerate_all_maximal(graph, delta, k)
-            assert _as_set(records) == truth.as_set()
+            assert _as_set(records) == set(truth)
 
 
 class TestPlainRunsMatchOracle:
@@ -460,7 +460,7 @@ class TestPlainRunsMatchOracle:
             monitor=InvariantMonitor(graph, delta, k, connectedness=False),
         )
         assert len(set(records)) == len(records)
-        assert set(records) == enumerate_all_maximal(graph, delta, k).as_set()
+        assert set(records) == set(enumerate_all_maximal(graph, delta, k))
 
 
 class TestConnectedCoreCut:
@@ -484,7 +484,7 @@ class TestConnectedCoreCut:
         records, _ = collect_maximal_plexes(
             graph, SearchConfig(delta=delta, k=k, connectedness=True)
         )
-        truth = enumerate_all_maximal(graph, delta, k).as_set()
+        truth = set(enumerate_all_maximal(graph, delta, k))
         assert _as_set(records) == {r for r in truth if len(r.vertices) > 2 * k}
 
     def test_scale_records_equal_the_filtered_plain_run(self):
