@@ -55,9 +55,15 @@ def parse_edge_list(
     ``(t - smallest) // resolution + 1``, so the smallest maps to 1, and
     every timestamp must lie a multiple of ``resolution`` above the
     smallest.  Repeated contacts collapse into one.  Self-loops are
-    rejected unless ``on_self_loop`` is "skip".  Each line is split once;
-    contacts are deduplicated in input order, so sorted input stays cheap
-    to sort.
+    rejected unless ``on_self_loop`` is "skip".
+
+    One pass over the lines gives each label a small id when it is first
+    seen and keeps each contact once, as a ``(t, id, id)`` key with its
+    endpoints in label order.  The keys stay in input order, so sorted
+    input stays cheap to sort.  Only after the pass are the ids remapped to
+    label ranks and the timestamps shifted and divided, so no per-line list
+    is held.  A misaligned timestamp is blamed on the first kept line that
+    holds one, which a second pass finds on that error alone.
     """
     if on_self_loop not in ("error", "skip"):
         raise ValueError(f"unknown self-loop policy {on_self_loop!r}")
@@ -67,10 +73,8 @@ def parse_edge_list(
         raise ValueError("column_spec needs three distinct non-negative indices")
     t_col, u_col, v_col = column_spec
     need = max(column_spec) + 1
-    times: list[int] = []
-    heads: list[str] = []
-    tails: list[str] = []
-    line_nos: list[int] = []  # the file line of each kept contact
+    ids: dict[str, int] = {}
+    contacts: dict[tuple[int, int, int], None] = {}
     self_loops = 0
     for line_no, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
@@ -94,32 +98,42 @@ def parse_edge_list(
             if on_self_loop == "error":
                 raise EdgeListParseError(f"self-loop on vertex {a!r}", line_no)
             continue
-        times.append(t)
-        heads.append(a)
-        tails.append(b)
-        line_nos.append(line_no)
+        try:
+            i, j = ids[a], ids[b]
+        except KeyError:
+            i, j = ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids))
+        contacts[(t, i, j) if a < b else (t, j, i)] = None
     if self_loops:
         import logging  # here, not at the top: it adds to every start-up
 
         logging.getLogger(__name__).warning("skipped %d self-loop edge(s)", self_loops)
-    if not times:
+    if not contacts:
         raise EdgeListParseError("empty input")
 
-    smallest = min(times)
-    for t, line_no in zip(times, line_nos):
-        if (t - smallest) % resolution:
-            raise EdgeListParseError(
-                f"timestamp {t} is not aligned to resolution {resolution}", line_no
-            )
-    labels = tuple(sorted({*heads, *tails}))
-    index = {name: i for i, name in enumerate(labels)}
-    contacts: dict[tuple[int, int, int], None] = {}
-    name_index = index.__getitem__
-    for t, u, v in zip(times, map(name_index, heads), map(name_index, tails)):
-        t = (t - smallest) // resolution + 1
-        contacts[(t, u, v) if u < v else (t, v, u)] = None
-    edges = tuple(sorted(contacts))
-    return TemporalGraph(labels, edges, edges[-1][0])
+    edges = list(contacts)
+    del contacts  # its table goes before the remap
+    smallest = min(edges)[0]
+    if resolution > 1 and any((t - smallest) % resolution for t, _, _ in edges):
+        # blame the first kept line off the grid; the pass above accepted
+        # every line, so each line that is no comment has its columns
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            fields = line.split()
+            if fields and fields[0][0] != "#" and fields[u_col] != fields[v_col]:
+                t = int(fields[t_col])
+                if (t - smallest) % resolution:
+                    raise EdgeListParseError(
+                        f"timestamp {t} is not aligned to resolution {resolution}",
+                        line_no,
+                    )
+    labels = tuple(sorted(ids))
+    rank = [0] * len(labels)
+    for r, name in enumerate(labels):
+        rank[ids[name]] = r
+    base = smallest - resolution  # so that the smallest maps to 1
+    for n, (t, i, j) in enumerate(edges):  # each key is freed as it is replaced
+        edges[n] = ((t - base) // resolution, rank[i], rank[j])
+    edges.sort()
+    return TemporalGraph(labels, tuple(edges), edges[-1][0])
 
 
 class FrameDomain(NamedTuple):

@@ -2,6 +2,7 @@ import logging
 import random
 import sys
 import time
+import tracemalloc
 from functools import reduce
 from operator import or_
 from pathlib import Path
@@ -32,6 +33,7 @@ from conftest import (
     frames_covered,
     random_temporal_graph,
     render_edge_list,
+    scale_graph,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -133,6 +135,19 @@ class TestParseEdgeList:
             rng.shuffle(lines)
             assert parse_edge_list("\n".join(lines)) == fig1_graph
 
+    def test_peak_memory_stays_near_the_graph(self):
+        # one contact dict and no per-line lists: the transient peak of a
+        # parse stays within a small multiple of the graph it returns
+        text = render_edge_list(scale_graph(edge_target=20_000))
+        tracemalloc.start()
+        try:
+            graph = parse_edge_list(text)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert graph.edge_count == 20_000
+        assert peak <= 2.6 * held, (peak, held)
+
     @pytest.mark.parametrize(
         "bad_line, message",
         [
@@ -161,9 +176,36 @@ class TestNormalizeTimestamps:
         assert sorted(t for t, _, _ in out.edges) == [1, 1, 5]
         assert out.lifetime == 5
 
-    def test_misaligned_rejected(self):
-        with pytest.raises(EdgeListParseError, match="resolution"):
-            parse_edge_list("0 a b\n30 b c\n", resolution=20)
+    @pytest.mark.parametrize(
+        "text, on_self_loop, blamed",
+        [
+            ("0 a b\n30 b c\n", "error", (2, 30)),
+            ("1005 a b\n1000 a c\n1020 b c\n", "error", (1, 1005)),
+            ("1005 a b\n1025 a c\n1000 b c\n", "error", (1, 1005)),
+            ("1000 a b\n1030 a c\n1000 a b\n1030 a c\n", "error", (2, 1030)),
+            ("1000 a a\n1000 a b\n1010 b c\n", "skip", (3, 1010)),
+            ("990 a a\n1000 a b\n1020 b c\n", "skip", None),
+        ],
+        ids=[
+            "second-line",
+            "first-line-before-the-smallest",
+            "first-two-agree-off-the-smallest",
+            "repeat-not-blamed",
+            "after-a-skipped-self-loop",
+            "skipped-self-loop-is-not-the-smallest",
+        ],
+    )
+    def test_misaligned_rejected(self, text, on_self_loop, blamed):
+        # the first kept line off the grid of the smallest kept timestamp
+        if blamed is None:
+            graph = parse_edge_list(text, on_self_loop=on_self_loop, resolution=20)
+            assert graph.edges == ((1, 0, 1), (2, 1, 2))
+            return
+        line_no, t = blamed
+        message = f"^line {line_no}: timestamp {t} is not aligned to resolution 20$"
+        with pytest.raises(EdgeListParseError, match=message) as info:
+            parse_edge_list(text, on_self_loop=on_self_loop, resolution=20)
+        assert info.value.line_no == line_no
 
 
 class TestFrameDomain:

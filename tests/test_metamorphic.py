@@ -9,6 +9,8 @@ needed, so the graphs can have up to 12 vertices and a lifetime of 40.
 - Permuting the vertex indices permutes the records' vertices.
 - Scaling the timestamps by s and shifting them, then running
   `tkplex enumerate --resolution s`, gives the same output lines.
+- Repeating every contact line, some copies with their endpoints swapped,
+  shuffled among comment and blank lines, gives the same output lines.
 - Inserting s empty time steps after a frame p whose window holds no
   contact maps every record bound x to x if x <= p and to x + s otherwise.
 """
@@ -120,33 +122,62 @@ def test_label_permutation_permutes_vertices(corpus):
         assert got == expected, (g, delta, k, connected)
 
 
+def enumerate_lines(edges, out, capsys, delta, k, connected, *options) -> list[str]:
+    """The output lines of `tkplex enumerate` on the edge-list file ``edges``."""
+    code = main(
+        ["enumerate", str(edges), *options,
+         "--delta", str(delta), "--k", str(k), "--output", str(out)]
+        + ["--connected"] * connected
+    )
+    capsys.readouterr()
+    assert code == 0
+    return out.read_text().splitlines()
+
+
+def record_lines(graph: TemporalGraph, records) -> list[str]:
+    return [
+        " ".join((*(graph.labels[v] for v in r.vertices),
+                  str(r.interval.start), str(r.interval.end)))
+        for r in records
+    ]
+
+
 def test_scaled_and_shifted_timestamps_normalize_back(corpus, tmp_path, capsys):
     # through `tkplex enumerate --resolution`: parsing shifts the first
     # contact to 1 and the resolution divides the scale out again
     graphs, outputs = corpus
     rng = random.Random(11)
     edges, out = tmp_path / "edges.txt", tmp_path / "out.txt"
-    for g, delta, k, connected in CASES:
-        graph = graphs[g]
+    for case in CASES:
+        graph = graphs[case[0]]
         scale, shift = rng.randint(2, 7), rng.randint(0, 10**6)
         edges.write_text(render_edge_list(TemporalGraph(
             graph.labels,
             tuple((scale * t + shift, u, v) for t, u, v in graph.edges),
             scale * graph.lifetime + shift,
         )))
-        code = main(
-            ["enumerate", str(edges), "--resolution", str(scale),
-             "--delta", str(delta), "--k", str(k), "--output", str(out)]
-            + ["--connected"] * connected
-        )
-        capsys.readouterr()
-        assert code == 0
-        expected = [
-            " ".join((*(graph.labels[v] for v in r.vertices),
-                      str(r.interval.start), str(r.interval.end)))
-            for r in outputs[g, delta, k, connected]
+        got = enumerate_lines(edges, out, capsys, *case[1:], "--resolution", str(scale))
+        assert got == record_lines(graph, outputs[case]), case
+
+
+def test_duplicated_contacts_leave_the_output_unchanged(corpus, tmp_path, capsys):
+    # through `tkplex enumerate`: parsing collapses a repeated contact into
+    # one, whichever way round its endpoints are written
+    graphs, outputs = corpus
+    rng = random.Random(13)
+    edges, out = tmp_path / "edges.txt", tmp_path / "out.txt"
+    for case in CASES:
+        graph = graphs[case[0]]
+        lines = render_edge_list(graph).splitlines()
+        lines += [
+            " ".join((t, b, a) if rng.random() < 0.5 else (t, a, b))
+            for t, a, b in map(str.split, lines)
         ]
-        assert out.read_text().splitlines() == expected, (g, delta, k, connected)
+        lines += ["# a comment", "", "  "] * rng.randint(1, 3)
+        rng.shuffle(lines)
+        edges.write_text("\n".join(lines) + "\n")
+        got = enumerate_lines(edges, out, capsys, *case[1:])
+        assert got == record_lines(graph, outputs[case]), case
 
 
 def test_empty_steps_after_an_empty_frame_shift_later_bounds(corpus):
