@@ -9,7 +9,7 @@ from .graph import (
     parse_edge_list,
     plex_count_upper_bound,
 )
-from .intervals import Interval, IntervalSet
+from .intervals import Interval
 from .search import (
     PlexRecord,
     RunStats,
@@ -22,7 +22,6 @@ __all__ = [
     "EdgeListParseError",
     "FrameDomain",
     "Interval",
-    "IntervalSet",
     "NonNeighborhoodIndex",
     "PlexRecord",
     "RunStats",

@@ -7,7 +7,7 @@ import math
 from bisect import bisect_right
 from typing import Iterator, NamedTuple
 
-from .intervals import Interval, IntervalSet
+from .intervals import Interval
 
 
 class EdgeListParseError(ValueError):
@@ -197,13 +197,13 @@ class NonNeighborhoodIndex:
             self.rows[u][v] = self.rows[v][u] = self.full ^ neighbor
 
     @property
-    def _pairs(self) -> dict[tuple[int, int], IntervalSet]:
-        """Non-neighbor frames of each edge-sharing pair u < w, from the rows.
+    def _pairs(self) -> dict[tuple[int, int], tuple[Interval, ...]]:
+        """Non-neighbor frame runs of each edge-sharing pair u < w, from the rows.
 
         Read by the benchmark's tracer only; the search uses ``rows``.
         """
         return {
-            (u, w): self.frame_set(frames)
+            (u, w): tuple(iv for _, iv in self.runs(frames))
             for u, row in enumerate(self.rows)
             for w, frames in row.items()
             if u < w
@@ -225,10 +225,6 @@ class NonNeighborhoodIndex:
             end = starts[hi] - 1 if hi < len(starts) else last
             found.append((run, Interval(starts[lo], end)))
         return reversed(found)
-
-    def frame_set(self, frames: int) -> IntervalSet:
-        """The frame intervals of a segment bitset."""
-        return IntervalSet._raw([iv for _, iv in self.runs(frames)])
 
     def segment(self, frame: int) -> int:
         """Index of the segment that holds ``frame``."""

@@ -2,7 +2,7 @@
 
 The monitor takes each call's own state: segment bitsets, the pool and the
 non-neighborhood index.  Of the index it trusts only the segment starts,
-through ``frame_set`` (a bitset to its frame intervals) and ``segment`` (a
+through ``runs`` (a bitset to its frame intervals) and ``segment`` (a
 frame to its bit); it never reads the index rows.  Every value it expects
 it recomputes from the raw edge list, with the oracle's pair times, frame
 predicate and maximal runs, so a passing run is independent
@@ -18,6 +18,7 @@ from .intervals import Interval
 from .oracle import frame_ok, has_edge_in, maximal_runs, non_neighbors, pair_times
 from .pairset import PairSet
 from .pool import Pool
+from .search import SearchConfig
 
 
 class InvariantViolation(AssertionError):
@@ -28,24 +29,21 @@ class InvariantMonitor:
     """Checks pool counts, candidate exactness, and call uniqueness.
 
     Attach via the ``monitor`` argument of ``enumerate_maximal_plexes``,
-    with the run's ``connectedness``.  A connected run lists plexes of
-    order >= 2k+1 only, whose members lie in the (k+1)-core of every
-    frame's snapshot, so there a group is feasible on a frame only if all
-    of it lies in that core.
+    built from the run's own ``SearchConfig``.  A connected run lists
+    plexes of order >= 2k+1 only, whose members lie in the (k+1)-core of
+    every frame's snapshot, so there a group is feasible on a frame only
+    if all of it lies in that core.
     """
 
-    def __init__(
-        self, graph: TemporalGraph, delta: int, k: int, connectedness: bool
-    ):
+    def __init__(self, graph: TemporalGraph, config: SearchConfig):
         self.graph = graph
-        self.delta = delta
-        self.k = k
-        self.last_frame = graph.lifetime - delta
+        self.delta, self.k = config.delta, config.k
+        self.last_frame = graph.lifetime - config.delta
         self.calls_seen: set[tuple] = set()
         self._times = pair_times(graph)
         self._cores = (
-            [self._core(i, k + 1) for i in range(1, self.last_frame + 1)]
-            if connectedness else None
+            [self._core(i, self.k + 1) for i in range(1, self.last_frame + 1)]
+            if config.connectedness else None
         )
 
     def _core(self, i: int, order: int) -> set[int]:
@@ -78,10 +76,14 @@ class InvariantMonitor:
         pool: Pool,
         index: NonNeighborhoodIndex,
     ) -> None:
-        """Check one call's state, decoded to frame intervals and counts."""
-        frames = index.frame_set(lifetimes)
+        """Check one call's state, decoded to frame runs and counts."""
+
+        def decode(bits: int) -> tuple[Interval, ...]:
+            return tuple(iv for _, iv in index.runs(bits))
+
+        frames = decode(lifetimes)
         entries = [
-            {w: index.frame_set(f) for w, f in pairs.items()}
+            {w: decode(f) for w, f in pairs.items()}
             for pairs in (candidates, excluded)
         ]
         self._check_call_unique(members, frames)
@@ -90,10 +92,11 @@ class InvariantMonitor:
         self._check_candidates(members, frames, *entries)
 
     def _check_call_unique(self, members, lifetimes) -> None:
-        fingerprint = (frozenset(members), lifetimes.intervals)
+        fingerprint = (frozenset(members), lifetimes)
         if fingerprint in self.calls_seen:
+            shown = "{" + ",".join(map(str, lifetimes)) + "}"
             raise InvariantViolation(
-                f"duplicate recursive call for {sorted(members)} {lifetimes}"
+                f"duplicate recursive call for {sorted(members)} {shown}"
             )
         self.calls_seen.add(fingerprint)
 
@@ -104,8 +107,8 @@ class InvariantMonitor:
         tracked.update(excluded)
         for c in members:
             tracked[c] = lifetimes
-        for w, iset in tracked.items():
-            for frame in iset.members():
+        for w, runs in tracked.items():
+            for frame in (i for iv in runs for i in iv.members()):
                 expected = non_neighbors(
                     self._times, self.delta, members, w, frame
                 )
@@ -120,7 +123,7 @@ class InvariantMonitor:
         if not members:
             return
         runs = set(self._feasible_runs(tuple(members)))
-        for iv in lifetimes.intervals:
+        for iv in lifetimes:
             if iv not in runs:
                 raise InvariantViolation(
                     f"{sorted(members)} is not a time-maximal plex on {iv}"
@@ -129,12 +132,12 @@ class InvariantMonitor:
     def _check_candidates(self, members, lifetimes, candidates, excluded) -> None:
         in_plex = set(members)
         entries = dict(candidates)
-        for v, iset in excluded.items():
+        for v, runs in excluded.items():
             if v in entries:
                 raise InvariantViolation(
                     f"vertex {v} present in both candidate and excluded sets"
                 )
-            entries[v] = iset
+            entries[v] = runs
         for v in range(self.graph.vertex_count):
             if v in in_plex:
                 continue
@@ -142,12 +145,12 @@ class InvariantMonitor:
             expected = tuple(
                 run
                 for run in self._feasible_runs(grown)
-                if lifetimes.covers(run)
+                if any(iv.start <= run.start and run.end <= iv.end
+                       for iv in lifetimes)
             )
-            got = entries.get(v)
-            got_intervals = () if got is None else got.intervals
-            if got_intervals != expected:
+            got = entries.get(v, ())
+            if got != expected:
                 raise InvariantViolation(
                     f"candidate entry for vertex {v} at plex {sorted(members)} "
-                    f"is {got_intervals}, expected {expected}"
+                    f"is {got}, expected {expected}"
                 )

@@ -1,17 +1,18 @@
-"""Closed integer intervals and canonical ordered collections of them.
+"""Closed integer intervals, and the canonical sets the tracer still wraps.
 
-These are the frame sets of the API edge: plex records and the debug
-monitor.  The search itself works on segment bitsets (see
-``graph.NonNeighborhoodIndex``); ``intersect`` and ``minus`` remain as the
-targets the benchmark's tracer wraps by name.  All values are immutable;
-every operation returns a fresh canonical ``IntervalSet`` (sorted, pairwise
-disjoint, non-adjacent).
+``Interval`` is the library's one frame interval: plex records carry one,
+and ``NonNeighborhoodIndex.runs`` decodes every segment bitset of the
+search into ``Interval`` runs, for the search and the invariant monitor
+alike.  ``IntervalSet`` has no caller in the library: like
+``pairset.merge_pair``, it is kept only as a target that the benchmark's
+tracer wraps by name (``__init__``, ``intersect`` and ``minus``).  Its
+operations return fresh canonical sets (sorted, pairwise disjoint,
+non-adjacent).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 
 class Interval(NamedTuple):
@@ -51,6 +52,8 @@ class IntervalSet:
 
     Adjacent inputs such as [1,2] and [3,4] are merged on construction, so
     every instance holds the maximal intervals of its covered integers.
+    The benchmark tracer's target only, as ``pairset.merge_pair`` is; the
+    library uses segment bitsets and ``Interval`` runs.
     """
 
     __slots__ = ("intervals",)
@@ -68,38 +71,14 @@ class IntervalSet:
     def __bool__(self) -> bool:
         return bool(self.intervals)
 
-    def __iter__(self) -> Iterator[Interval]:
-        return iter(self.intervals)
-
     def __len__(self) -> int:
         return len(self.intervals)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntervalSet) and self.intervals == other.intervals
 
-    def __hash__(self) -> int:
-        return hash(self.intervals)
-
     def __str__(self) -> str:
         return "{" + ",".join(str(iv) for iv in self.intervals) + "}"
-
-    def __repr__(self) -> str:
-        return f"IntervalSet({list(self.intervals)!r})"
-
-    def members(self) -> Iterator[int]:
-        for iv in self.intervals:
-            yield from iv.members()
-
-    def covers(self, interval: Interval) -> bool:
-        """True iff some member interval contains ``interval`` entirely."""
-        idx = bisect_right(self.intervals, (interval.start, interval.end))
-        # candidate is the last member starting at or before interval.start
-        if idx < len(self.intervals) and self.intervals[idx].start == interval.start:
-            return self.intervals[idx].end >= interval.end
-        if idx == 0:
-            return False
-        cand = self.intervals[idx - 1]
-        return cand.start <= interval.start and cand.end >= interval.end
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         a, b = self.intervals, other.intervals

@@ -10,7 +10,8 @@ from tkplex.graph import (
     TemporalGraph,
     parse_edge_list,
 )
-from tkplex.intervals import Interval, IntervalSet
+from tkplex.intervals import Interval
+from tkplex.oracle import maximal_runs
 
 FIG1_TEXT = """\
 1 b c
@@ -60,13 +61,21 @@ def frame_bits(index: NonNeighborhoodIndex, *pairs: tuple[int, int]) -> int:
     bits = 0
     for a, b in pairs:
         bits |= (1 << (index.segment(b) + 1)) - (1 << index.segment(a))
-    assert frame_set(index, bits) == IntervalSet(pairs), "not segment-aligned"
+    frames = sorted({i for a, b in pairs for i in range(a, b + 1)})
+    assert frame_set(index, bits) == tuple(maximal_runs(frames)), (
+        "not segment-aligned"
+    )
     return bits
 
 
-def frame_set(index: NonNeighborhoodIndex, bits: int) -> IntervalSet:
-    """The frame intervals of a segment bitset."""
-    return IntervalSet(iv for _, iv in index.runs(bits))
+def frame_set(index: NonNeighborhoodIndex, bits: int) -> tuple[Interval, ...]:
+    """The frame runs of a segment bitset, as ``index.runs`` decodes them."""
+    return tuple(iv for _, iv in index.runs(bits))
+
+
+def frames_of(runs: tuple[Interval, ...]) -> frozenset[int]:
+    """Every frame of a tuple of runs."""
+    return frozenset(i for iv in runs for i in iv.members())
 
 
 def unpivoted():

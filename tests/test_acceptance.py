@@ -34,6 +34,8 @@ from conftest import (
     FIG1_TEXT,
     edgeless_graph,
     frame_bits,
+    frame_set,
+    frames_of,
     scale_graph,
     static_maximal_kplexes,
     sweep_corpus,
@@ -82,7 +84,7 @@ def sweep():
                     config = SearchConfig(
                         delta=delta, k=k, connectedness=connectedness
                     )
-                    monitor = InvariantMonitor(graph, delta, k, connectedness)
+                    monitor = InvariantMonitor(graph, config)
                     with pivot_mode(pivoting):
                         try:
                             records, stats = collect_maximal_plexes(
@@ -262,7 +264,7 @@ def test_criterion_7_interval_algebra_conformance():
     assert index.full.bit_length() == 30  # one segment per frame
 
     def decode(frames: int) -> frozenset[int]:
-        return frozenset(index.frame_set(frames).members())
+        return frames_of(frame_set(index, frames))
 
     a = frame_bits(index, (1, 2), (5, 8))
     b = frame_bits(index, (1, 4), (5, 6))
@@ -271,9 +273,9 @@ def test_criterion_7_interval_algebra_conformance():
     # the union merges across the adjacent endpoints 4 and 5, per the
     # maximal-interval definition all operations share
     examples_ok = (
-        str(index.frame_set(a | b)) == "{[1,8]}"
-        and str(index.frame_set(a & b)) == "{[1,2],[5,6]}"
-        and str(index.frame_set(c ^ (c & d))) == "{[3,4],[7,8]}"
+        frame_set(index, a | b) == (Interval(1, 8),)
+        and frame_set(index, a & b) == (Interval(1, 2), Interval(5, 6))
+        and frame_set(index, c ^ (c & d)) == (Interval(3, 4), Interval(7, 8))
     )
     rng = random.Random(7)
     mismatches = 0

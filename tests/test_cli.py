@@ -1,10 +1,14 @@
+import io
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from tkplex import cli
 from tkplex.cli import (
@@ -458,6 +462,27 @@ class TestOracleCommand:
         )
         assert code == EXIT_PARAMETER
 
+    @pytest.mark.parametrize(
+        "connected,code,last_line",
+        [(True, EXIT_OK, "ok: 1 records match"),
+         (False, EXIT_MISMATCH, "mismatch: 0 missing, 7 extra")],
+        ids=["connected", "plain"],
+    )
+    def test_min_size(self, fig1_file, tmp_path, capsys, connected, code, last_line):
+        # --connected lists only plexes of order >= 2k+1 = 3: here just
+        # "a b c 5 5", which the oracle cut at order 3 matches; a plain run
+        # also lists the seven smaller plexes, which it then counts as extra
+        out = tmp_path / "records.txt"
+        flags = ["--delta", "1", "--k", "1"]
+        extra = ["--connected"] if connected else []
+        assert main(["enumerate", str(fig1_file), *flags, *extra,
+                     "--output", str(out)]) == EXIT_OK
+        assert "a b c 5 5" in out.read_text().splitlines()
+        capsys.readouterr()
+        assert main(["oracle", str(fig1_file), *flags, "--min-size", "3",
+                     "--records", str(out)]) == code
+        assert capsys.readouterr().out.splitlines()[-1] == last_line
+
     def test_size_guard(self, tmp_path):
         path = tmp_path / "long.txt"
         path.write_text("".join(f"{t} a b\n" for t in range(1, 12)))
@@ -506,3 +531,72 @@ class TestInputErrors:
         )
         assert code == EXIT_PARSE
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestRandomInvocations:
+    """No input file or flag mix escapes the documented exit codes."""
+
+    PAIR = st.sampled_from(["a b", "a c", "a d", "b c", "b d", "c d"])
+    CONTACT = st.builds("{} {}".format, st.integers(0, 9), PAIR).map(str.encode)
+    RECORD = st.builds(
+        "{} {} {}".format, PAIR, st.integers(1, 5), st.integers(1, 5)
+    ).map(str.encode)
+    NOISE = st.one_of(
+        st.sampled_from([b"", b"# comment", b"1 a", b"x a b", b"1.5 a b",
+                         b"2 a b 9", b"\t3\tb\tc", b"4 \xc3\xa9 b", b"5 d d",
+                         b"%d a b" % 10**12, b"%d c d" % 10**40]),
+        st.binary(max_size=12),
+    )
+    # half the files are clean contact lists, so that runs get past parsing
+    FILE = st.one_of(
+        st.lists(CONTACT, min_size=1, max_size=8),
+        st.lists(st.one_of(CONTACT, NOISE), max_size=8),
+    )
+    # valid values come more often, so that runs get past the checks too
+    FLAGS = {
+        "--delta": st.sampled_from(["0", "1", "2", "3", "-1", "9"]),
+        "--delta-exp": st.integers(-4, 4).map(str),
+        "--k": st.sampled_from(["1", "2", "3", "0", "-1"]),
+        "--connected": st.none(),
+        "--time-limit": st.sampled_from(["10", "10", "0", "-1", "nan", "inf", "x"]),
+        "--resolution": st.sampled_from(["1", "1", "2", "0", "-3", "y"]),
+        "--columns": st.sampled_from(
+            ["0,1,2", "0,1,2", "2,1,0", "0,1", "1,1,2", "0,1,5", "z"]
+        ),
+        "--skip-self-loops": st.none(),
+        "--with-degeneracy": st.none(),
+    }
+    NEEDED = {"enumerate": ["--delta", "--k"], "degeneracy": ["--delta"],
+              "oracle": ["--delta", "--k"]}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        command=st.sampled_from(sorted(NEEDED)),
+        lines=FILE,
+        records=st.lists(st.one_of(RECORD, NOISE), max_size=4),
+        needed=st.sampled_from([True, True, True, False]),  # mostly given
+        flags=st.lists(st.sampled_from(sorted(FLAGS)), max_size=3),
+        data=st.data(),
+    )
+    def test_exit_codes_only(self, tmp_path_factory, command, lines, records,
+                             needed, flags, data):
+        folder = tmp_path_factory.getbasetemp()
+        edges, found = folder / "sweep-edges.txt", folder / "sweep-records.txt"
+        edges.write_bytes(b"\n".join(lines))
+        found.write_bytes(b"\n".join(records))
+        argv = [command, str(edges)]
+        if command == "oracle":
+            argv += ["--records", str(found)]
+        for flag in (self.NEEDED[command] if needed else []) + flags:
+            value = data.draw(self.FLAGS[flag], label=flag)
+            argv += [flag] if value is None else [flag, value]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the flags
+                code = exc.code
+        assert code in (EXIT_OK, EXIT_PARAMETER, EXIT_PARSE, EXIT_TIMEOUT,
+                        EXIT_MISMATCH), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        event(f"{command} exit {code}")

@@ -24,16 +24,18 @@ from tkplex.graph import (
     parse_edge_list,
     plex_count_upper_bound,
 )
-from tkplex.intervals import Interval, IntervalSet
-from tkplex.oracle import maximal_runs, static_degeneracy
+from tkplex.intervals import Interval
+from tkplex.oracle import has_edge_in, maximal_runs, pair_times, static_degeneracy
 
 from conftest import (
     edgeless_graph,
     frame_set,
     frames_covered,
+    frames_of,
     random_temporal_graph,
     render_edge_list,
     scale_graph,
+    sweep_corpus,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -233,9 +235,9 @@ class TestNonNeighborhoodIndex:
             fig1_graph, FrameDomain.for_graph(fig1_graph, 1)
         )
         a, b, c = 0, 1, 2
-        assert str(frame_set(index, index.rows[a][b])) == "{[3,4]}"
-        assert str(frame_set(index, index.rows[a][c])) == "{[1,2]}"
-        assert str(frame_set(index, index.rows[a][a])) == "{[1,5]}"
+        assert frame_set(index, index.rows[a][b]) == (Interval(3, 4),)
+        assert frame_set(index, index.rows[a][c]) == (Interval(1, 2),)
+        assert frame_set(index, index.rows[a][a]) == (Interval(1, 5),)
         assert index.rows[a][a] == index.full
 
     def test_symmetric(self, fig1_graph):
@@ -249,16 +251,13 @@ class TestNonNeighborhoodIndex:
         index = NonNeighborhoodIndex(graph, FrameDomain.for_graph(graph, 0))
         assert 2 not in index.rows[0]
         got = index.rows[0].get(2, index.full)
-        assert frame_set(index, got) == IntervalSet([(1, 4)])
+        assert frame_set(index, got) == (Interval(1, 4),)
 
     def test_segments_do_not_grow_with_lifetime(self):
         graph = parse_edge_list("1 a b\n7 b c\n1000000000 a b\n")
         index = NonNeighborhoodIndex(graph, FrameDomain.for_graph(graph, 2))
         assert index.full.bit_length() <= 2 * graph.edge_count + 1
-        assert frame_set(index, index.rows[0][1]) == IntervalSet(
-            [(2, 999999997)]
-        )
-        assert len(frame_set(index, index.rows[0][1])) == 1
+        assert frame_set(index, index.rows[0][1]) == (Interval(2, 999999997),)
 
     @pytest.mark.parametrize("delta", [0, 1, 2])
     def test_matches_naive_window_scan(self, delta):
@@ -272,10 +271,12 @@ class TestNonNeighborhoodIndex:
             for u in range(graph.vertex_count):
                 for v in range(graph.vertex_count):
                     times = [t for t, a, b in graph.edges if {a, b} == {u, v}]
-                    got = frame_set(index, index.rows[u].get(v, index.full))
+                    got = frames_of(
+                        frame_set(index, index.rows[u].get(v, index.full))
+                    )
                     for i in range(1, fd.last_frame + 1):
                         naive = u == v or not any(i <= t <= i + delta for t in times)
-                        assert got.covers(Interval(i, i)) == naive
+                        assert (i in got) == naive
 
     @pytest.mark.parametrize("delta", [0, 1, 2])
     def test_neighbor_frames_complement(self, delta):
@@ -286,14 +287,33 @@ class TestNonNeighborhoodIndex:
             index = NonNeighborhoodIndex(graph, fd)
             for u in range(graph.vertex_count):
                 for v in range(u + 1, graph.vertex_count):
-                    covered = IntervalSet(
-                        frames_covered(t, fd)
+                    covered = maximal_runs(sorted({
+                        i
                         for t, a, b in graph.edges
                         if (a, b) == (u, v)
-                    )
+                        for i in frames_covered(t, fd).members()
+                    }))
                     neighbor = index.full & ~index.rows[u].get(v, index.full)
-                    assert frame_set(index, neighbor) == covered
+                    assert frame_set(index, neighbor) == tuple(covered)
 
+    @pytest.mark.parametrize("delta", [0, 1, 2])
+    def test_tracer_pairs_are_the_non_neighbor_runs(self, fig1_graph, delta):
+        # the benchmark's graph.index_intervals sums the lengths of these
+        # runs; each pair's runs are recomputed from the raw edges with the
+        # oracle's helpers
+        for graph in (fig1_graph, *sweep_corpus(count=200)):
+            if graph.lifetime - delta < 1:
+                continue
+            fd = FrameDomain.for_graph(graph, delta)
+            pairs = NonNeighborhoodIndex(graph, fd)._pairs
+            expected = {
+                pair: tuple(maximal_runs(
+                    i for i in range(1, fd.last_frame + 1)
+                    if not has_edge_in(times, i, i + delta)
+                ))
+                for pair, times in pair_times(graph).items()
+            }
+            assert pairs == expected, (graph, delta)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -424,11 +444,11 @@ class TestCoreFrames:
         # only frame 5's window [5, 6] holds a triangle
         index = NonNeighborhoodIndex(fig1_graph, FrameDomain.for_graph(fig1_graph, 1))
         cores = core_frames(index, 2)
-        assert [frame_set(index, f) for f in cores] == [IntervalSet([(5, 5)])] * 3
+        assert [frame_set(index, f) for f in cores] == [(Interval(5, 5),)] * 3
         a, b, c = core_frames(index, 1)
-        assert frame_set(index, a) == IntervalSet([(1, 5)])
-        assert frame_set(index, b) == IntervalSet([(1, 2), (4, 5)])
-        assert frame_set(index, c) == IntervalSet([(1, 1), (3, 5)])
+        assert frame_set(index, a) == (Interval(1, 5),)
+        assert frame_set(index, b) == (Interval(1, 2), Interval(4, 5))
+        assert frame_set(index, c) == (Interval(1, 1), Interval(3, 5))
 
     def test_matches_naive_per_frame_peel(self):
         # narrow windows and the widest one, whose one segment is the
@@ -444,7 +464,7 @@ class TestCoreFrames:
             index = NonNeighborhoodIndex(graph, FrameDomain.for_graph(graph, delta))
             for order in range(1, 7):
                 got = [
-                    set(frame_set(index, f).members())
+                    set(frames_of(frame_set(index, f)))
                     for f in core_frames(index, order)
                 ]
                 expected = naive_core_frames(graph, delta, order)

@@ -18,7 +18,7 @@ from tkplex.graph import (
     parse_edge_list,
 )
 from tkplex.instrumentation import InvariantMonitor
-from tkplex.intervals import Interval, IntervalSet
+from tkplex.intervals import Interval
 from tkplex.oracle import enumerate_all_maximal
 from tkplex.pool import Pool
 from tkplex.search import (
@@ -36,6 +36,7 @@ from conftest import (
     edgeless_graph,
     frame_bits,
     frame_set,
+    frames_of,
     random_temporal_graph,
     scale_graph,
     sweep_corpus,
@@ -43,10 +44,6 @@ from conftest import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
-
-
-def iset(*pairs) -> IntervalSet:
-    return IntervalSet(pairs)
 
 
 @pytest.fixture
@@ -112,14 +109,14 @@ class TestUpdatePool:
         pool, blockers, out = grow_by_a(fig1_index, k=1)
         # the member's critical frames come back as a blocker with its row
         [(hits, row)] = blockers
-        assert frame_set(fig1_index, hits) == iset((1, 5))
+        assert frame_set(fig1_index, hits) == (Interval(1, 5),)
         assert row is fig1_index.rows[0]
         # the blocker strips each entry where the member is a non-neighbor,
         # before the entry is counted, so those frames go uncounted
         seg = fig1_index.segment
-        for w, critical in ((1, iset((3, 4))), (2, iset((1, 2)))):
+        for w, critical in ((1, {3, 4}), (2, {1, 2})):
             assert all(pool.count(w, seg(t)) == 0 for t in range(1, 6))
-            assert not frame_set(fig1_index, out[w]).intersect(critical)
+            assert not frames_of(frame_set(fig1_index, out[w])) & critical
 
     def test_input_pool_untouched(self, fig1_index):
         full = fig1_index.full
@@ -136,7 +133,7 @@ class TestUpdateCandidates:
 
     def test_candidate_shrinks_at_threshold(self, fig1_index):
         _, _, out = grow_by_a(fig1_index, k=1)
-        assert frame_set(fig1_index, out[1]) == iset((1, 2), (5, 5))
+        assert frame_set(fig1_index, out[1]) == (Interval(1, 2), Interval(5, 5))
 
     def test_entries_outside_new_lifetime_drop(self, fig1_index, bits):
         source = {1: bits((1, 2))}
@@ -455,9 +452,9 @@ class TestPlainRunsMatchOracle:
     def test_matches_oracle(self, n, omega, k, density, rng, data):
         delta = data.draw(st.integers(0, omega - 1), label="delta")
         graph = random_temporal_graph(rng, n, omega, density)
+        config = SearchConfig(delta=delta, k=k)
         records, _ = collect_maximal_plexes(
-            graph, SearchConfig(delta=delta, k=k),
-            monitor=InvariantMonitor(graph, delta, k, connectedness=False),
+            graph, config, monitor=InvariantMonitor(graph, config)
         )
         assert len(set(records)) == len(records)
         assert set(records) == set(enumerate_all_maximal(graph, delta, k))
