@@ -35,7 +35,7 @@ class _CliError(Exception):
 
 def _read_text(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc

@@ -59,11 +59,14 @@ def parse_edge_list(
 
     One pass over the lines gives each label a small id when it is first
     seen and keeps each contact once, as a ``(t, id, id)`` key with its
-    endpoints in label order.  The keys stay in input order, so sorted
+    endpoints in label order.  A timestamp field is converted and checked
+    only when its text differs from the last one converted, so the contacts
+    of one time share one ``int``.  The keys stay in input order, so sorted
     input stays cheap to sort.  Only after the pass are the ids remapped to
-    label ranks and the timestamps shifted and divided, so no per-line list
-    is held.  A misaligned timestamp is blamed on the first kept line that
-    holds one, which a second pass finds on that error alone.
+    label ranks and the timestamps shifted and divided, once per run of
+    equal times, so no per-line list is held.  A misaligned timestamp is
+    blamed on the first kept line that holds one, which a second pass finds
+    on that error alone.
     """
     if on_self_loop not in ("error", "skip"):
         raise ValueError(f"unknown self-loop policy {on_self_loop!r}")
@@ -76,6 +79,7 @@ def parse_edge_list(
     ids: dict[str, int] = {}
     contacts: dict[tuple[int, int, int], None] = {}
     self_loops = 0
+    field = None  # the last timestamp text converted, whose value is t
     for line_no, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
         if not fields or fields[0][0] == "#":
@@ -84,14 +88,14 @@ def parse_edge_list(
             raise EdgeListParseError(
                 f"expected at least {need} columns, got {len(fields)}", line_no
             )
-        try:
-            t = int(fields[t_col])
-        except ValueError:
-            raise EdgeListParseError(
-                f"bad timestamp {fields[t_col]!r}", line_no
-            ) from None
-        if t < 0:
-            raise EdgeListParseError(f"negative timestamp {t}", line_no)
+        if fields[t_col] != field:
+            field = fields[t_col]
+            try:
+                t = int(field)
+            except ValueError:
+                raise EdgeListParseError(f"bad timestamp {field!r}", line_no) from None
+            if t < 0:
+                raise EdgeListParseError(f"negative timestamp {t}", line_no)
         a, b = fields[u_col], fields[v_col]
         if a == b:
             self_loops += 1
@@ -130,8 +134,11 @@ def parse_edge_list(
     for r, name in enumerate(labels):
         rank[ids[name]] = r
     base = smallest - resolution  # so that the smallest maps to 1
+    raw = None  # the last time shifted, to ``shifted``
     for n, (t, i, j) in enumerate(edges):  # each key is freed as it is replaced
-        edges[n] = ((t - base) // resolution, rank[i], rank[j])
+        if t != raw:
+            raw, shifted = t, (t - base) // resolution
+        edges[n] = (shifted, rank[i], rank[j])
     edges.sort()
     return TemporalGraph(labels, tuple(edges), edges[-1][0])
 
@@ -168,17 +175,21 @@ class NonNeighborhoodIndex:
     def __init__(self, graph: TemporalGraph, fd: FrameDomain):
         self.frame_domain = fd
         delta, last = fd.delta, fd.last_frame
-        by_pair: dict[tuple[int, int], list[int]] = {}
-        for t, u, v in graph.edges:  # edges sorted by t
-            by_pair.setdefault((u, v), []).append(t)
         # frames are cut at 1, at max(1, t - delta) and at t + 1 for every
-        # contact t, so no window's edge set changes inside a segment
+        # contact time t, so no window's edge set changes inside a segment;
+        # the edges are sorted by t, so each time's cuts are added once
+        by_pair: dict[tuple[int, int], list[int]] = {}
         cuts = {1}
-        for t, _, _ in graph.edges:
-            cuts.add(t - delta if t > delta else 1)
-            if t < last:
-                cuts.add(t + 1)
+        prev = None
+        for t, u, v in graph.edges:
+            if t != prev:
+                prev = t
+                cuts.add(t - delta if t > delta else 1)
+                if t < last:
+                    cuts.add(t + 1)
+            by_pair.setdefault((u, v), []).append(t)
         self._starts = sorted(cuts)
+        del cuts
         segment = {frame: i for i, frame in enumerate(self._starts)}
         n = len(self._starts)
         self.full = (1 << n) - 1
@@ -285,6 +296,8 @@ class _Cores:
         for v, planes in enumerate(slack):
             gone = 0
             for _ in range(order - self.order):
+                if gone == alive[v]:  # no live segment is left to take from
+                    break
                 gone |= _take_one(planes, alive[v] ^ gone)
             if gone:
                 alive[v] ^= gone

@@ -260,6 +260,23 @@ class TestEnumerateCommand:
         assert "a b 1 1" in out.read_text().splitlines()
 
 
+    @pytest.mark.parametrize(
+        "columns, text",
+        [("0,1,2", "1 a b\n2 a c\n3 b c\n"), ("2,0,1", "a b 1\na c 2\nb c 3\n")],
+        ids=["timestamp-first", "vertex-first"],
+    )
+    def test_byte_order_mark_is_not_data(self, tmp_path, columns, text):
+        # a UTF-8 byte-order mark belongs to neither the timestamp nor a label
+        path = tmp_path / "marked.txt"
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        out = tmp_path / "records.txt"
+        code = main(
+            ["enumerate", str(path), "--columns", columns, "--delta", "2",
+             "--k", "1", "--output", str(out)]
+        )
+        assert code == EXIT_OK
+        assert out.read_text().splitlines() == ["a b c 1 1"]
+
     def test_closed_pipe_stops_quietly(self, tmp_path):
         # `tkplex enumerate ... | head -1`: about 120 kB of records, more
         # than a pipe holds, so the reader closes it while the search runs
@@ -430,6 +447,18 @@ class TestOracleCommand:
         )
         assert code == EXIT_OK
         assert capsys.readouterr().out == "ok: 5 records match\n"
+
+    def test_records_file_may_start_with_a_byte_order_mark(
+        self, fig1_file, tmp_path, capsys
+    ):
+        _, out = run_enumerate(fig1_file, tmp_path)
+        out.write_text("\ufeff" + out.read_text(), encoding="utf-8")
+        code = main(
+            ["oracle", str(fig1_file), "--delta", "1", "--k", "2",
+             "--records", str(out)]
+        )
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.endswith("ok: 5 records match\n")
 
     def test_missing_record_detected(self, fig1_file, tmp_path, capsys):
         _, out = run_enumerate(fig1_file, tmp_path)

@@ -150,6 +150,72 @@ class TestParseEdgeList:
         assert graph.edge_count == 20_000
         assert peak <= 2.6 * held, (peak, held)
 
+    def test_contacts_at_one_time_share_its_timestamp(self):
+        # about 20 contacts per time, at times above CPython's small-int
+        # cache: the graph holds its edge tuples and one int per time
+        rng = random.Random(3)
+        contacts = sorted(
+            {(rng.randint(1000, 1999), *sorted(rng.sample(range(60), 2)))
+             for _ in range(20_000)}
+        )
+        text = "".join(f"{t} v{u:02d} v{v:02d}\n" for t, u, v in contacts)
+        tracemalloc.start()
+        try:
+            graph = parse_edge_list(text)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        times = {t for t, _, _ in graph.edges}
+        assert len(times) == 1000
+        tuples = sys.getsizeof(graph.edges) + sum(map(sys.getsizeof, graph.edges))
+        assert held <= tuples + len(times) * sys.getsizeof(1000) + 20_000, held
+
+    @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            ("1 a b\nx a c\nx b c\n", 2, "bad timestamp 'x'"),
+            ("1 a b\n-2 a c\n-2 b c\n", 2, "negative timestamp -2"),
+            ("x a b\n# x\nx a c\n", 1, "bad timestamp 'x'"),
+        ],
+    )
+    def test_repeated_bad_timestamp_blamed_on_its_first_line(
+        self, text, line_no, message
+    ):
+        with pytest.raises(EdgeListParseError, match=f"^line {line_no}: {message}$"):
+            parse_edge_list(text, on_self_loop="skip")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "5 a b\n# 6 a b\n5 b c\n9 a c\n",
+            "5 a b\n5 c c\n5 b c\n9 a c\n",
+            "5 a b\n7 c c\n5 b c\n9 a c\n",
+            "5 a b\n005 b c\n9 a c\n",
+            "05 a b\n5 b c\n+9 a c\n",
+        ],
+        ids=["across-comment", "across-self-loop", "around-self-loop",
+             "leading-zeros", "signs-and-zeros"],
+    )
+    def test_timestamp_texts_of_one_value_give_one_time(self, text):
+        expected = parse_edge_list("5 a b\n5 b c\n9 a c\n")
+        assert parse_edge_list(text, on_self_loop="skip") == expected
+
+    def test_time_dense_input_in_any_line_order_gives_the_same_graph(self):
+        # 20 contacts at each of 100 times; "rounds" takes one line of each
+        # time in turn, so no two neighbouring lines share a time
+        rng = random.Random(8)
+        per_time = [
+            [f"{t} v{u:02d} v{v:02d}" for u, v in rng.sample(
+                [(u, v) for u in range(30) for v in range(u + 1, 30)], 20)]
+            for t in range(1000, 1100)
+        ]
+        runs = [line for lines in per_time for line in lines]
+        rounds = [line for column in zip(*per_time) for line in column]
+        graph = parse_edge_list("\n".join(runs))
+        assert graph.edge_count == 2000
+        for variant in (rounds, rng.sample(runs, len(runs)), runs[::-1]):
+            assert parse_edge_list("\n".join(variant)) == graph
+
     @pytest.mark.parametrize(
         "bad_line, message",
         [
@@ -485,6 +551,22 @@ class TestCoreFrames:
             cores = _Cores(index)
             for order in range(1, 8):
                 assert cores.peel(order) == core_frames(index, order)
+
+    def test_huge_order_stops_once_every_segment_has_left(
+        self, fig1_graph, monkeypatch
+    ):
+        # each vertex's slack runs out within its degree + 1 steps, so the
+        # peel takes no step per order beyond that
+        calls = []
+
+        def counted(planes, mask):
+            calls.append(mask)
+            return _take_one(planes, mask)
+
+        monkeypatch.setattr("tkplex.graph._take_one", counted)
+        index = NonNeighborhoodIndex(fig1_graph, FrameDomain.for_graph(fig1_graph, 1))
+        assert core_frames(index, 10**5) == [0, 0, 0]
+        assert len(calls) <= 3 * (2 + 1), len(calls)  # 3 vertices of degree <= 2
 
     def test_edgeless_has_empty_cores(self):
         graph = edgeless_graph(4, 5)
